@@ -31,7 +31,7 @@ from .cosymplectic import (
     builtin_fixture,
     product_construct,
 )
-from .curvature import h_tensors, nabla_a, ricci, riemann
+from .curvature import h_tensors, ricci, riemann
 from .fixtures import (
     Fixture,
     builtin_base,
@@ -86,7 +86,6 @@ __all__ = [
     "h_tensors",
     "levi_civita",
     "n1_tensor",
-    "nabla_a",
     "nijenhuis",
     "product_construct",
     "random_contact_frame",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -132,8 +133,12 @@ def fixture_from_doc(doc: dict, name: str) -> tuple[Fixture, dict]:
         raise InputError(f"{name}: sampling must be an object")
     box = None
     if "box" in sampling:
-        box = [tuple(map(float, pair)) for pair in sampling["box"]]
-        if len(box) != dim or any(lo >= hi for lo, hi in box):
+        try:
+            box = [tuple(map(float, pair)) for pair in sampling["box"]]
+            ok = len(box) == dim and all(len(b) == 2 and b[0] < b[1] for b in box)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise InputError(f"{name}: sampling.box needs {dim} increasing ranges")
 
     fix = Fixture(
@@ -168,19 +173,31 @@ def resolve_fixture(args) -> tuple[Fixture, dict]:
     raise InputError("a spec file or --builtin NAME is required")
 
 
+def _sampling_field(sampling: dict, key: str, kinds: tuple, what: str, default):
+    """A value of the spec's sampling block; bools are not numbers here."""
+    v = sampling.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        raise InputError(f"sampling.{key} must be {what}, got {json.dumps(v)}")
+    return v
+
+
 def resolve_sampling(args, sampling: dict, fix: Fixture):
-    points = args.points if args.points is not None else sampling.get("points", DEFAULT_POINTS)
-    seed = args.seed if args.seed is not None else sampling.get("seed", DEFAULT_SEED)
+    points = args.points if args.points is not None else _sampling_field(
+        sampling, "points", (int,), "an integer", DEFAULT_POINTS)
+    seed = args.seed if args.seed is not None else _sampling_field(
+        sampling, "seed", (int,), "an integer", DEFAULT_SEED)
     if args.tol is not None:
         tol = args.tol
     elif "tolerance" in sampling:
-        tol = float(sampling["tolerance"])
+        tol = float(_sampling_field(sampling, "tolerance", (int, float), "a number", None))
     else:
         tol = _env_tol()
     if points < 1:
         raise InputError("--points must be at least 1")
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if seed < 0:
+        raise InputError("the sampling seed must be non-negative")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InputError("tolerance must be a positive finite number")
     box = _parse_box(args.box, fix.manifold.dim) if getattr(args, "box", None) else None
     return points, seed, tol, box
 
@@ -309,11 +326,8 @@ def _symbolic_gamma(base: Fixture):
     identically on the validation sample."""
     if isinstance(base.nabla, ExprConnection):
         return base.nabla.exprs
-    worst = 0.0
-    for ctx in base.sample_contexts(8, 0):
-        G, dG = ctx.connection_table(base.nabla)
-        worst = max(worst, np.max(np.abs(G)), np.max(np.abs(dG)))
-    if worst <= 1e-13:
+    G, dG = base.sample_contexts(8, 0).connection_table(base.nabla)
+    if max(np.max(np.abs(G)), np.max(np.abs(dG))) <= 1e-13:
         return np.full((base.manifold.dim,) * 3, ex.Num(0.0), dtype=object)
     return None
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import registry as reg
 from .expr import Expr
-from .frame import ExprTable, GeometryError, Jet, Manifold, PointContext, jet_einsum
+from .frame import ExprTable, GeometryError, Jet, Manifold, PointContext, jet_einsum, tr
 
 
 class AffineConnection:
@@ -56,11 +56,11 @@ class LeviCivita(AffineConnection):
             Eg
             + Eg.t(1, 0, 2)
             - Eg.t(1, 2, 0)
-            + jet_einsum("ijm,ml->ijl", c, g)
-            - jet_einsum("ilm,mj->ijl", c, g)
-            - jet_einsum("jlm,mi->ijl", c, g)
+            + jet_einsum("...ijm,...ml->...ijl", c, g)
+            - jet_einsum("...ilm,...mj->...ijl", c, g)
+            - jet_einsum("...jlm,...mi->...ijl", c, g)
         )
-        G = jet_einsum("ijl,lk->ijk", low, ctx.ginv)
+        G = jet_einsum("...ijl,...lk->...ijk", low, ctx.ginv)
         return G.val, G.grad
 
 
@@ -70,8 +70,8 @@ class Conjugate(AffineConnection):
 
     def table(self, ctx):
         Gb = self.base.jet(ctx)
-        low = ctx.Eg - jet_einsum("ikm,mj->ijk", Gb, ctx.g)
-        G = jet_einsum("ijk,kl->ijl", low, ctx.ginv)
+        low = ctx.Eg - jet_einsum("...ikm,...mj->...ijk", Gb, ctx.g)
+        G = jet_einsum("...ijk,...kl->...ijl", low, ctx.ginv)
         return G.val, G.grad
 
 
@@ -89,8 +89,8 @@ class SymmetricCubic:
         self.C = C
 
     def table(self, ctx):
-        K = np.einsum("ijl,lk->ijk", self.C, ctx.ginv.val)
-        dK = np.einsum("ijl,lkg->ijkg", self.C, ctx.ginv.grad)
+        K = np.einsum("ijl,...lk->...ijk", self.C, ctx.ginv.val)
+        dK = np.einsum("ijl,...lkg->...ijkg", self.C, ctx.ginv.grad)
         return K, dK
 
     def jet(self, ctx) -> Jet:
@@ -147,13 +147,13 @@ class ProductConnection(AffineConnection):
             raise GeometryError("product connection used on a non-product context")
         bctx = _base_context(ctx, self.base_manifold)
         Gb, dGb = bctx.connection_table(self.base_conn)
-        lam = self.lam.jet2({"t": ctx.x[0]})
-        G = np.zeros((n, n, n))
-        dG = np.zeros((n, n, n, n))
-        G[0, 0, 0] = self.sign * float(lam.val)
-        dG[0, 0, 0, 0] = self.sign * float(lam.grad[0])
-        G[1:, 1:, 1:] = Gb
-        dG[1:, 1:, 1:, 1:] = dGb
+        lam = ctx.table_jet(self.lam)  # an expression in t, the first coordinate
+        G = np.zeros(ctx.lead + (n, n, n))
+        dG = np.zeros(ctx.lead + (n, n, n, n))
+        G[..., 0, 0, 0] = self.sign * lam.val
+        dG[..., 0, 0, 0, 0] = self.sign * lam.grad[..., 0]
+        G[..., 1:, 1:, 1:] = Gb
+        dG[..., 1:, 1:, 1:, 1:] = dGb
         return G, dG
 
 
@@ -162,7 +162,7 @@ def _base_context(ctx: PointContext, base: Manifold) -> PointContext:
     cache = ctx.__dict__.setdefault("_base_ctxs", {})
     key = id(base)
     if key not in cache:
-        cache[key] = base.context(ctx.x[1:])
+        cache[key] = base.context(ctx.x[..., 1:])
     return cache[key]
 
 
@@ -187,12 +187,12 @@ def difference_jet(ctx: PointContext, a: AffineConnection, b: AffineConnection) 
 
 def lower(ctx: PointContext, T: np.ndarray) -> np.ndarray:
     """C[i][j][k] = g(T_{E_i} E_j, E_k)."""
-    return np.einsum("ijm,mk->ijk", T, ctx.g.val)
+    return np.einsum("...ijm,...mk->...ijk", T, ctx.g.val)
 
 
 def torsion(ctx: PointContext, conn: AffineConnection) -> np.ndarray:
     G = conn.jet(ctx).val
-    return G - G.transpose(1, 0, 2) - ctx.c.val
+    return G - tr(G, 1, 0, 2) - ctx.c.val
 
 
 def random_statistical(manifold: Manifold, seed: int, scale: float = 0.5):
@@ -217,8 +217,8 @@ def dualistic_residual(ctx: PointContext, nabla: AffineConnection,
     """Residual of E_i g_jk = g(nabla_{E_i}E_j, E_k) + g(E_j, nabla*_{E_i}E_k)."""
     G = nabla.jet(ctx).val
     Gs = nabla_star.jet(ctx).val
-    rhs = np.einsum("ijm,mk->ijk", G, ctx.g.val) + np.einsum(
-        "ikm,jm->ijk", Gs, ctx.g.val
+    rhs = np.einsum("...ijm,...mk->...ijk", G, ctx.g.val) + np.einsum(
+        "...ikm,...jm->...ijk", Gs, ctx.g.val
     )
     return reg.rel_residual(ctx.Eg.val, rhs)
 
@@ -226,8 +226,7 @@ def dualistic_residual(ctx: PointContext, nabla: AffineConnection,
 def check_dualistic(manifold: Manifold, nabla: AffineConnection,
                     nabla_star: AffineConnection, points) -> float:
     """Worst dualistic residual over the given sample points."""
-    return max(dualistic_residual(manifold.context(p), nabla, nabla_star)
-               for p in points)
+    return dualistic_residual(manifold.contexts(points), nabla, nabla_star)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,8 @@ def _chk_lc_metric(fix, ctx):
     G0 = fix.lc.jet(ctx).val
     nabla_g = (
         ctx.Eg.val
-        - np.einsum("ijm,mk->ijk", G0, ctx.g.val)
-        - np.einsum("ikm,jm->ijk", G0, ctx.g.val)
+        - np.einsum("...ijm,...mk->...ijk", G0, ctx.g.val)
+        - np.einsum("...ikm,...jm->...ijk", G0, ctx.g.val)
     )
     return reg.abs_max(nabla_g)
 
@@ -273,12 +272,12 @@ def _chk_mean(fix, ctx):
 
 def _chk_k_symm(fix, ctx):
     K = _k_jet(fix, ctx).val
-    return reg.rel_residual(K, K.transpose(1, 0, 2))
+    return reg.rel_residual(K, tr(K, 1, 0, 2))
 
 
 def _chk_k_selfadj(fix, ctx):
     C = lower(ctx, _k_jet(fix, ctx).val)
-    return reg.rel_residual(C, C.transpose(0, 2, 1))
+    return reg.rel_residual(C, tr(C))
 
 
 def _chk_k_conj(fix, ctx):

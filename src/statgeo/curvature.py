@@ -13,12 +13,8 @@ import numpy as np
 from . import registry as reg
 from .connections import AffineConnection, MeanConnection, difference_jet
 from .cosymplectic import a_tensors, gate_almost_cosymplectic
-from .frame import GeometryError, Jet, lie_operator
-from .structures import (
-    almost_cosymplectic_residual,
-    nabla_operator,
-    nabla_vector,
-)
+from .frame import GeometryError, Jet, lie_operator, tr
+from .structures import almost_cosymplectic_residual, nabla_operator
 
 
 def riemann(ctx, conn: AffineConnection) -> np.ndarray:
@@ -28,31 +24,26 @@ def riemann(ctx, conn: AffineConnection) -> np.ndarray:
     EG = ctx.E(Gj)
     return (
         EG
-        - EG.transpose(1, 0, 2, 3)
-        + np.einsum("jkm,iml->ijkl", G, G)
-        - np.einsum("ikm,jml->ijkl", G, G)
-        - np.einsum("ijm,mkl->ijkl", ctx.c.val, G)
+        - tr(EG, 1, 0, 2, 3)
+        + np.einsum("...jkm,...iml->...ijkl", G, G)
+        - np.einsum("...ikm,...jml->...ijkl", G, G)
+        - np.einsum("...ijm,...mkl->...ijkl", ctx.c.val, G)
     )
 
 
 def ricci(ctx, conn: AffineConnection) -> np.ndarray:
     """S[j][k] = trace of Z -> R(Z, E_j)E_k, formed in a g-orthonormal frame
-    obtained by triangular orthonormalization, then cross-checked against the
-    plain frame contraction."""
+    obtained by triangular orthonormalization."""
     R = riemann(ctx, conn)
     try:
         b = np.linalg.inv(np.linalg.cholesky(ctx.g.val))
     except np.linalg.LinAlgError:
         raise GeometryError("metric is not positive definite; cannot orthonormalize") from None
-    S = np.einsum("ui,ijkl,lm,um->jk", b, R, ctx.g.val, b)
-    tie = np.einsum("ijki->jk", R)
-    if reg.abs_max(S - tie) > 1e-12 * (1.0 + reg.abs_max(S)):
-        raise GeometryError("ricci trace disagrees between orthonormal and frame contraction")
-    return S
+    return np.einsum("...ui,...ijkl,...lm,...um->...jk", b, R, ctx.g.val, b)
 
 
 # ---------------------------------------------------------------------------
-# operator-valued covariant derivatives with their cross-check
+# operator-valued covariant derivatives
 
 
 def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
@@ -60,11 +51,11 @@ def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
     second gradient."""
     G, dG = ctx.connection_table(conn)
     Ev = ctx.E_jet(v)
-    val = Ev.val + np.einsum("j,ijk->ik", v.val, G)
+    val = Ev.val + np.einsum("...j,...ijk->...ik", v.val, G)
     grad = (
         Ev.grad
-        + np.einsum("ja,ijk->ika", v.grad, G)
-        + np.einsum("j,ijka->ika", v.val, dG)
+        + np.einsum("...ja,...ijk->...ika", v.grad, G)
+        + np.einsum("...j,...ijka->...ika", v.val, dG)
     )
     return Jet(val, grad)
 
@@ -72,28 +63,7 @@ def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
 def a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
     """Shape operator A = -nabla xi as an operator jet (value and gradient)."""
     nv = nabla_vector_jet(ctx, conn, xi)
-    return Jet(-nv.val.T, -nv.grad.transpose(1, 0, 2))
-
-
-def nabla_operator_columns(ctx, conn: AffineConnection, P: Jet) -> np.ndarray:
-    """(nabla_{E_i} P)E_j assembled column by column: differentiate the vector
-    field P E_j and subtract P(nabla_{E_i} E_j)."""
-    G = conn.jet(ctx).val
-    out = np.empty((ctx.dim, ctx.dim, ctx.dim))
-    for j in range(ctx.dim):
-        col = Jet(P.val[:, j], P.grad[:, j, :])
-        out[:, :, j] = nabla_vector(ctx, conn, col)
-    return out - np.einsum("ijm,km->ikj", G, P.val)
-
-
-def nabla_a(ctx, conn: AffineConnection, A: Jet) -> np.ndarray:
-    """Covariant derivative of an operator jet, graded against the independent
-    column assembly before being returned."""
-    one = nabla_operator(ctx, conn, A)
-    two = nabla_operator_columns(ctx, conn, A)
-    if reg.abs_max(one - two) > 1e-9 * (1.0 + reg.abs_max(one)):
-        raise GeometryError("operator derivative implementations disagree")
-    return one
+    return Jet(-tr(nv.val), -tr(nv.grad, 1, 0, 2))
 
 
 def h_tensors(fix, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,7 +81,7 @@ def h_tensors(fix, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _k_xi_op(fix, ctx) -> np.ndarray:
     xiv = fix.contact.xi(ctx).val
     K = difference_jet(ctx, fix.nabla, fix.lc).val
-    return np.einsum("i,ijk->jk", xiv, K).T
+    return tr(np.einsum("...i,...ijk->...jk", xiv, K))
 
 
 def _k_xi_phi(fix, ctx) -> np.ndarray:
@@ -127,7 +97,7 @@ def _mean(fix) -> MeanConnection:
 
 def _reeb_op(ctx, R: np.ndarray, xiv: np.ndarray) -> np.ndarray:
     """Operator X -> R(X, xi)xi."""
-    return np.einsum("ijkl,j,k->li", R, xiv, xiv)
+    return np.einsum("...ijkl,...j,...k->...li", R, xiv, xiv)
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +108,26 @@ def _chk_antisym(fix, ctx):
     r = 0.0
     for conn in (fix.nabla, fix.nabla_star, _mean(fix)):
         R = riemann(ctx, conn)
-        r = max(r, reg.abs_max(R + R.transpose(1, 0, 2, 3)))
+        r = max(r, reg.abs_max(R + tr(R, 1, 0, 2, 3)))
     return r
 
 
 def _reeb_comm(fix, ctx, conn_diff, conn_a):
     """(nabla_Y A)X - (nabla_X A)Y for X=E_i, Y=E_j, as [i][j][l]."""
     xi = fix.contact.xi(ctx)
-    NA = nabla_a(ctx, conn_diff, a_jet(ctx, conn_a, xi))
-    return np.einsum("jli->ijl", NA) - np.einsum("ilj->ijl", NA)
+    NA = nabla_operator(ctx, conn_diff, a_jet(ctx, conn_a, xi))
+    return np.einsum("...jli->...ijl", NA) - np.einsum("...ilj->...ijl", NA)
 
 
 def _chk_r0(fix, ctx):
     xiv = fix.contact.xi(ctx).val
-    lhs = np.einsum("ijkl,k->ijl", riemann(ctx, fix.nabla), xiv)
+    lhs = np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
     return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla, fix.nabla))
 
 
 def _chk_r00(fix, ctx):
     xiv = fix.contact.xi(ctx).val
-    lhs = np.einsum("ijkl,k->ijl", riemann(ctx, fix.nabla_star), xiv)
+    lhs = np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
     return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla_star, fix.nabla_star))
 
 
@@ -166,8 +136,8 @@ def _chk_r03(fix, ctx):
     g = ctx.g.val
     r = 0.0
     for op in (h, hs):
-        L = np.einsum("mi,mj->ij", op, g)
-        r = max(r, reg.rel_residual(L, L.T))
+        L = np.einsum("...mi,...mj->...ij", op, g)
+        r = max(r, reg.rel_residual(L, tr(L)))
     return r
 
 
@@ -192,7 +162,7 @@ def _chk_r06(fix, ctx):
 def _xi_derivative_of_phi(fix, ctx, conn) -> np.ndarray:
     P = fix.contact.phi(ctx)
     xiv = fix.contact.xi(ctx).val
-    return np.einsum("i,ikj->kj", xiv, nabla_operator(ctx, conn, P))
+    return np.einsum("...i,...ikj->...kj", xiv, nabla_operator(ctx, conn, P))
 
 
 def _chk_klm(fix, ctx):
@@ -210,20 +180,15 @@ def _chk_klm(fix, ctx):
 
 
 def _klm_note(fix, ctxs):
-    mags = {"K_xi phi": 0.0, "A phi + phi A*": 0.0, "A* phi + phi A": 0.0,
-            "nabla_xi phi": 0.0, "nabla*_xi phi": 0.0}
-    for ctx in ctxs:
-        P = fix.contact.phi(ctx).val
-        A, As, _ = a_tensors(fix, ctx)
-        mags["K_xi phi"] = max(mags["K_xi phi"], reg.abs_max(_k_xi_phi(fix, ctx)))
-        mags["A phi + phi A*"] = max(mags["A phi + phi A*"], reg.abs_max(A @ P + P @ As))
-        mags["A* phi + phi A"] = max(mags["A* phi + phi A"], reg.abs_max(As @ P + P @ A))
-        mags["nabla_xi phi"] = max(
-            mags["nabla_xi phi"], reg.abs_max(_xi_derivative_of_phi(fix, ctx, fix.nabla))
-        )
-        mags["nabla*_xi phi"] = max(
-            mags["nabla*_xi phi"], reg.abs_max(_xi_derivative_of_phi(fix, ctx, fix.nabla_star))
-        )
+    P = fix.contact.phi(ctxs).val
+    A, As, _ = a_tensors(fix, ctxs)
+    mags = {
+        "K_xi phi": reg.abs_max(_k_xi_phi(fix, ctxs)),
+        "A phi + phi A*": reg.abs_max(A @ P + P @ As),
+        "A* phi + phi A": reg.abs_max(As @ P + P @ A),
+        "nabla_xi phi": reg.abs_max(_xi_derivative_of_phi(fix, ctxs, fix.nabla)),
+        "nabla*_xi phi": reg.abs_max(_xi_derivative_of_phi(fix, ctxs, fix.nabla_star)),
+    }
     body = ", ".join(f"|{k}| = {v:.3e}" for k, v in mags.items())
     return f"co-vanishing family: {body}"
 
@@ -232,10 +197,10 @@ def _chk_b3(fix, ctx):
     xi = fix.contact.xi(ctx)
     xiv = xi.val
     mean = _mean(fix)
-    lhs = 4.0 * np.einsum("ijkl,k->ijl", riemann(ctx, mean), xiv)
+    lhs = 4.0 * np.einsum("...ijkl,...k->...ijl", riemann(ctx, mean), xiv)
     rhs = (
-        np.einsum("ijkl,k->ijl", riemann(ctx, fix.nabla), xiv)
-        + np.einsum("ijkl,k->ijl", riemann(ctx, fix.nabla_star), xiv)
+        np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
+        + np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
         + _reeb_comm(fix, ctx, fix.nabla_star, fix.nabla)
         + _reeb_comm(fix, ctx, fix.nabla, fix.nabla_star)
     )
@@ -268,18 +233,20 @@ def _chk_rzz(fix, ctx):
 def _chk_szz(fix, ctx):
     xiv = fix.contact.xi(ctx).val
     A, As, _ = a_tensors(fix, ctx)
-    s = np.einsum("jk,j,k->", ricci(ctx, fix.nabla), xiv, xiv)
-    ss = np.einsum("jk,j,k->", ricci(ctx, fix.nabla_star), xiv, xiv)
-    return reg.rel_residual(s + ss, -np.trace(A @ A + As @ As))
+    s = np.einsum("...jk,...j,...k->...", ricci(ctx, fix.nabla), xiv, xiv)
+    ss = np.einsum("...jk,...j,...k->...", ricci(ctx, fix.nabla_star), xiv, xiv)
+    return reg.rel_residual(s + ss, -np.einsum("...ii->...", A @ A + As @ As))
 
 
 def gate_reeb_hypotheses(fix, ctxs, tol):
     """Class residual plus the stated hypotheses K_xi phi = 0 and A xi = 0."""
-    r = almost_cosymplectic_residual(fix, ctxs)
-    for ctx in ctxs:
-        A, _, _ = a_tensors(fix, ctx)
-        xiv = fix.contact.xi(ctx).val
-        r = max(r, reg.abs_max(_k_xi_phi(fix, ctx)), reg.abs_max(A @ xiv))
+    A, _, _ = a_tensors(fix, ctxs)
+    xiv = fix.contact.xi(ctxs).val
+    r = max(
+        almost_cosymplectic_residual(fix, ctxs),
+        reg.abs_max(_k_xi_phi(fix, ctxs)),
+        reg.abs_max(np.einsum("...ij,...j->...i", A, xiv)),
+    )
     if r <= tol:
         return True, r, None
     return False, r, "hypotheses K_xi phi = 0 and A xi = 0 are not satisfied"

@@ -20,15 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh")
 
 _FN_EVAL = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
 }
 
 
@@ -50,7 +52,15 @@ class ExprNameError(ExprError):
 
 class ExprDomainError(ExprError):
     """Raised when evaluation or constant folding leaves the real domain
-    (1/0, log of x <= 0, overflow)."""
+    (1/0, log of x <= 0, overflow).
+
+    When an array of points was evaluated, `index` is the position of the
+    first offending point along that array; otherwise it is None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,7 @@ def pow_(a: Expr, n: float) -> Expr:
     if n == 1.0:
         return a
     if isinstance(a, Num):
-        return Num(_real_pow(a.value, n))
+        return Num(float(_real_pow(a.value, n)))
     return Pow(a, float(n))
 
 
@@ -222,7 +232,7 @@ def call(fn: str, a: Expr) -> Expr:
     if fn not in FUNCTIONS:
         raise ExprNameError(f"unknown function {fn!r}")
     if isinstance(a, Num):
-        return Num(_apply_fn(fn, a.value))
+        return Num(float(_apply_fn(fn, a.value)))
     return Call(fn, a)
 
 
@@ -460,41 +470,56 @@ def diff(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _apply_fn(fn: str, x: float) -> float:
-    if fn == "log" and x <= 0.0:
-        raise ExprDomainError(f"log of non-positive value {x}")
-    try:
-        return _FN_EVAL[fn](x)
-    except OverflowError:
-        raise ExprDomainError(f"{fn}({x}) overflows") from None
-    except ValueError:  # sin/cos of an intermediate value that overflowed to inf
-        raise ExprDomainError(f"{fn}({x}) is not a finite number") from None
+def _domain(bad, template: str, *values) -> None:
+    """Raise ExprDomainError if any entry of `bad` is set, naming the values
+    of the first such entry.  `bad` and `values` are scalars or arrays over
+    the point axis."""
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad)) if np.ndim(bad) else None
+    args = [float(v[i]) if i is not None and np.ndim(v) else float(v) for v in values]
+    raise ExprDomainError(template.format(*args), index=i)
 
 
-def _real_pow(b: float, n: float) -> float:
-    if b == 0.0 and n < 0.0:
-        raise ExprDomainError("zero raised to a negative power")
-    if b < 0.0 and n != int(n):
-        raise ExprDomainError(f"({b})^{n} is not real")
-    try:
-        return b ** n
-    except OverflowError:
-        raise ExprDomainError(f"({b})^{n} overflows") from None
+def _apply_fn(fn: str, x):
+    if fn == "log":
+        _domain(x <= 0.0, "log of non-positive value {}", x)
+    with np.errstate(all="ignore"):
+        r = _FN_EVAL[fn](x)
+    _domain(np.isinf(r) & np.isfinite(x), fn + "({}) overflows", x)
+    # sin/cos of an intermediate value that overflowed to inf
+    _domain(np.isnan(r) & ~np.isnan(x), fn + "({}) is not a finite number", x)
+    return r
+
+
+def _real_pow(b, n: float):
+    _domain((b == 0.0) & (n < 0.0), "zero raised to a negative power")
+    if n != int(n):
+        _domain(b < 0.0, "({})^%r is not real" % n, b)
+    with np.errstate(all="ignore"):
+        r = np.power(b, n)
+    _domain(np.isinf(r) & np.isfinite(b), "({})^%r overflows" % n, b)
+    return r
 
 
 def eval_expr(e: Expr, env: dict[str, float]) -> float:
     """Evaluate e at the point given by env (coordinate name -> value).
 
+    The values may also be arrays over an axis of sample points; the result
+    is then an array over the same axis (or a float where e is constant).
+
     Raises ExprDomainError on division by zero, log of a non-positive value,
-    or a non-finite result.
+    or a non-finite result; its `index` names the first offending point.
     """
-    v = _eval(e, env)
-    if not math.isfinite(v):
-        raise ExprDomainError(f"non-finite result {v}")
-    return v
+    if isinstance(e, Num):  # finite by construction
+        return e.value
+    with np.errstate(all="ignore"):
+        v = _eval(e, env)
+    _domain(~np.isfinite(v), "non-finite result {}", v)
+    return v if np.ndim(v) else float(v)
 
 
-def _eval(e: Expr, env: dict[str, float]) -> float:
+def _eval(e: Expr, env: dict[str, float]):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -512,8 +537,7 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
         return _eval(e.left, env) * _eval(e.right, env)
     if isinstance(e, Div):
         d = _eval(e.right, env)
-        if d == 0.0:
-            raise ExprDomainError("division by zero")
+        _domain(d == 0.0, "division by zero")
         return _eval(e.left, env) / d
     if isinstance(e, Pow):
         return _real_pow(_eval(e.base, env), e.exponent)

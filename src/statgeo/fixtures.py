@@ -58,6 +58,7 @@ class Fixture:
         )
 
     def sample_contexts(self, n_points: int, seed: int, box=None):
+        """One batched PointContext over n_points seeded sample points."""
         pts = sample_points(self.manifold.dim, box or self.box, n_points, seed)
         return self.manifold.contexts(pts)
 

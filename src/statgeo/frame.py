@@ -1,13 +1,17 @@
-"""Pointwise frame calculus.
+"""Frame calculus over a batch of sample points.
 
 A manifold is presented by a moving frame: named coordinates, an invertible
 matrix of expressions with E_i = sum_a F[i][a] d/dx^a, and metric components
 g_ij = g(E_i, E_j) in that frame.  A PointContext materialises every derived
-table (structure coefficients, frame derivatives of the metric, inverses) at
-one sample point together with exact coordinate gradients, so covariant
-derivative tables never rely on numeric differencing.
+table (structure coefficients, frame derivatives of the metric, inverses)
+together with exact coordinate gradients, so covariant derivative tables
+never rely on numeric differencing.
 
-Index conventions used throughout the package:
+Every table of a context built on a batch of P points carries a leading
+point axis, shape (P, ...); a context built on one point has no such axis.
+The functions of the package accept either: their einsum subscripts start
+with `...`, and transposes act on the trailing (tensor) axes only.  Index
+conventions, written for the tensor axes:
 
     F[i][a]      E_i = sum_a F[i][a] d/dx^a
     Finv[a][i]   d/dx^a = sum_i Finv[a][i] E_i
@@ -32,6 +36,16 @@ from . import expr as ex
 
 class GeometryError(ValueError):
     """Invalid geometric input: singular frame, bad metric, shape mismatch."""
+
+
+def tr(a: np.ndarray, *axes: int) -> np.ndarray:
+    """Transpose the trailing tensor axes of a, leaving leading point axes in
+    place: tr(a) swaps the last two, tr(a, 1, 0, 2) permutes the last three
+    as ndarray.transpose would permute an unbatched table."""
+    if not axes:
+        return np.swapaxes(a, -1, -2)
+    lead = a.ndim - len(axes)
+    return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +78,10 @@ class Jet:
     __rmul__ = __mul__
 
     def t(self, *axes: int) -> "Jet":
-        """Transpose of the value axes; gradient axes stay trailing."""
-        n = self.val.ndim
-        g2 = None
-        if self.grad2 is not None:
-            g2 = self.grad2.transpose(axes + (n, n + 1))
-        return Jet(self.val.transpose(axes), self.grad.transpose(axes + (n,)), g2)
+        """Transpose of the trailing value axes; point and gradient axes stay."""
+        k = len(axes)
+        g2 = None if self.grad2 is None else tr(self.grad2, *axes, k, k + 1)
+        return Jet(tr(self.val, *axes), tr(self.grad, *axes, k), g2)
 
 
 def jet_einsum(spec: str, *ops) -> Jet:
@@ -77,7 +89,7 @@ def jet_einsum(spec: str, *ops) -> Jet:
 
     Operands may be Jet or plain ndarray (treated as constant).  The result
     gradient gets a fresh trailing subscript appended to each Jet operand in
-    turn.
+    turn, so every subscript of `spec` must start with `...`.
     """
     ins, out = spec.split("->")
     subs = ins.split(",")
@@ -99,13 +111,22 @@ def jet_einsum(spec: str, *ops) -> Jet:
     return Jet(res_val, grad)
 
 
-def jet_matinv(m: Jet, what: str = "matrix") -> Jet:
-    """Inverse of a square matrix jet; d(M^-1) = -M^-1 dM M^-1."""
+def jet_matinv(m: Jet, what: str, x: np.ndarray) -> Jet:
+    """Inverse of a square matrix jet at the points x; d(M^-1) = -M^-1 dM M^-1.
+
+    A matrix counts as singular when |det| is at most 1e-12 times the product
+    of its row norms (Hadamard's bound), a test that scaling does not change.
+    """
     det = np.linalg.det(m.val)
-    if abs(det) < 1e-12:
-        raise GeometryError(f"{what} is singular (det = {det:.3e})")
+    bound = np.prod(np.linalg.norm(m.val, axis=-1), axis=-1)
+    bad = np.abs(det) <= 1e-12 * bound
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise GeometryError(
+            f"{what} at {_at(x, i)} is singular (det = {np.ravel(det)[i]:.3e})"
+        )
     inv = np.linalg.inv(m.val)
-    grad = -np.einsum("ab,bcg,cd->adg", inv, m.grad, inv)
+    grad = -np.einsum("...ab,...bcg,...cd->...adg", inv, m.grad, inv)
     return Jet(inv, grad)
 
 
@@ -126,8 +147,8 @@ def as_expr(cell, coords: tuple[str, ...]) -> ex.Expr:
 class ExprTable:
     """Array of expressions with first and second derivative trees built once.
 
-    Evaluation at a point yields a Jet carrying the exact coordinate gradient
-    and second gradient of every entry.
+    Evaluation yields a Jet carrying the exact coordinate gradient and second
+    gradient of every entry, at one point or over a batch of points.
     """
 
     def __init__(self, cells, coords: tuple[str, ...], shape: tuple[int, ...] | None = None):
@@ -150,12 +171,28 @@ class ExprTable:
     def shape(self) -> tuple[int, ...]:
         return self.exprs.shape
 
-    def jet2(self, env: dict[str, float]) -> Jet:
-        return Jet(
-            _eval_obj(self.exprs, env),
-            _eval_obj(self.d1, env),
-            _eval_obj(self.d2, env),
-        )
+    def jet2(self, env: dict) -> Jet:
+        """Evaluate at env: coordinate name -> value, or -> array of values
+        over the point axis, which then leads every table of the Jet.
+
+        On a domain error, the ExprDomainError raised is the one whose
+        offending point comes first.
+        """
+        lead = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        first = None
+        tables = []
+        for arr in (self.exprs, self.d1, self.d2):
+            out = np.empty(lead + arr.shape)
+            for idx, e in np.ndenumerate(arr):
+                try:
+                    out[(...,) + idx] = ex.eval_expr(e, env)
+                except ex.ExprDomainError as err:
+                    if first is None or (err.index or 0) < (first.index or 0):
+                        first = err
+            tables.append(out)
+        if first is not None:
+            raise first
+        return Jet(*tables)
 
 
 def _normalize(cells, coords):
@@ -164,13 +201,6 @@ def _normalize(cells, coords):
     if isinstance(cells, (list, tuple)):
         return [_normalize(c, coords) for c in cells]
     return as_expr(cells, coords)
-
-
-def _eval_obj(arr: np.ndarray, env: dict[str, float]) -> np.ndarray:
-    out = np.empty(arr.shape)
-    for idx, e in np.ndenumerate(arr):
-        out[idx] = ex.eval_expr(e, env)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,61 +220,99 @@ class Manifold:
         self.metric = ExprTable(metric, self.coords, shape=(n, n))
 
     def context(self, point) -> "PointContext":
+        """Tables at one point, without a point axis."""
         return PointContext(self, point)
 
-    def contexts(self, points) -> list["PointContext"]:
-        return [PointContext(self, p) for p in points]
+    def contexts(self, points) -> "PointContext":
+        """Tables at a batch of points, each with a leading point axis."""
+        return PointContext(self, np.atleast_2d(np.asarray(points, float)))
 
 
 class PointContext:
-    """All frame tables materialised at one sample point."""
+    """All frame tables materialised at one point, or at a batch of points.
 
-    def __init__(self, manifold: Manifold, point):
+    A batch is also a sequence of its points: len, iteration and indexing
+    give single-point contexts.
+    """
+
+    def __init__(self, manifold: Manifold, points):
         self.manifold = manifold
         self.dim = manifold.dim
-        self.x = np.asarray(point, float)
-        if self.x.shape != (self.dim,):
+        self.x = np.asarray(points, float)
+        if self.x.ndim not in (1, 2) or self.x.shape[-1] != self.dim:
             raise GeometryError(f"point must have {self.dim} components")
-        self.env = dict(zip(manifold.coords, self.x.tolist()))
+        self.lead = self.x.shape[:-1]
+        self.env = dict(zip(manifold.coords, np.moveaxis(self.x, -1, 0)))
+        self._tables: dict[int, tuple[object, tuple]] = {}
+        self._jets: dict[int, tuple[ExprTable, Jet]] = {}
 
-        self.F = manifold.frame.jet2(self.env)
-        self.Finv = jet_matinv(self.F, what=f"frame at {_fmt_point(self.x)}")
-        self.g = manifold.metric.jet2(self.env)
-        asym = np.max(np.abs(self.g.val - self.g.val.T))
-        if asym > 1e-12 * (1.0 + np.max(np.abs(self.g.val))):
-            raise GeometryError(f"metric is not symmetric at {_fmt_point(self.x)}")
-        self.ginv = jet_matinv(self.g, what=f"metric at {_fmt_point(self.x)}")
+        self.F = self.table_jet(manifold.frame)
+        self.Finv = jet_matinv(self.F, "frame", self.x)
+        self.g = self.table_jet(manifold.metric)
+        g = self.g.val
+        asym = np.max(np.abs(g - tr(g)), axis=(-2, -1))
+        bad = asym > 1e-12 * (1.0 + np.max(np.abs(g), axis=(-2, -1)))
+        if np.any(bad):
+            where = _at(self.x, int(np.argmax(bad)))
+            raise GeometryError(f"metric is not symmetric at {where}")
+        self.ginv = jet_matinv(self.g, "metric", self.x)
 
         # structure coefficients from the frame's coordinate expansion
         EF = self.E_jet(self.F)  # EF[i][j][a] = E_i(F[j][a])
         w = EF - EF.t(1, 0, 2)
-        self.c = jet_einsum("ija,ak->ijk", w, self.Finv)
+        self.c = jet_einsum("...ija,...ak->...ijk", w, self.Finv)
 
         self.Eg = self.E_jet(self.g)  # Eg[k][i][j] = E_k(g_ij)
-        self._tables: dict[int, tuple[object, tuple]] = {}
-        self._jets: dict[int, tuple[ExprTable, Jet]] = {}
+
+    def __len__(self) -> int:
+        if self.x.ndim == 1:
+            raise TypeError("a single-point context has no length")
+        return len(self.x)
+
+    def __getitem__(self, i) -> "PointContext":
+        if self.x.ndim == 1:
+            raise TypeError("a single-point context cannot be indexed")
+        return PointContext(self.manifold, self.x[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def _flat(self, a: np.ndarray, extra: int) -> tuple[np.ndarray, tuple]:
+        """a with its tensor axes (all but the point axes and the `extra`
+        trailing gradient axes) merged into one, and their shape."""
+        nl = len(self.lead)
+        T = a.shape[nl : a.ndim - extra]
+        return a.reshape(self.lead + (-1,) + a.shape[a.ndim - extra :]), T
 
     # frame derivative: values only
     def E(self, jet: Jet) -> np.ndarray:
         """E(T)[i, ...] = E_i applied entrywise: F[i][a] dT[..., a]."""
-        return np.einsum("ia,...a->i...", self.F.val, jet.grad)
+        g, T = self._flat(jet.grad, 1)
+        out = np.einsum("...ia,...ta->...it", self.F.val, g)
+        return out.reshape(self.lead + (self.dim,) + T)
 
     # frame derivative with gradient; needs the operand's second gradient
     def E_jet(self, jet: Jet) -> Jet:
         if jet.grad2 is None:
             raise ValueError("E_jet needs a jet with a second gradient")
-        val = np.einsum("ia,...a->i...", self.F.val, jet.grad)
-        grad = np.einsum("iac,...a->i...c", self.F.grad, jet.grad) + np.einsum(
-            "ia,...ac->i...c", self.F.val, jet.grad2
+        g, T = self._flat(jet.grad, 1)
+        g2, _ = self._flat(jet.grad2, 2)
+        grad = np.einsum("...iac,...ta->...itc", self.F.grad, g) + np.einsum(
+            "...ia,...tac->...itc", self.F.val, g2
         )
-        return Jet(val, grad)
+        shape = self.lead + (self.dim,) + T + grad.shape[-1:]
+        return Jet(self.E(jet), grad.reshape(shape))
 
     def table_jet(self, table: ExprTable) -> Jet:
         """Evaluate an ExprTable here, cached per table instance."""
         key = id(table)
         hit = self._jets.get(key)
         if hit is None:
-            hit = (table, table.jet2(self.env))
+            try:
+                jet = table.jet2(self.env)
+            except ex.ExprDomainError as e:
+                raise ex.ExprDomainError(f"{e} at {_at(self.x, e.index or 0)}") from None
+            hit = (table, jet)
             self._jets[key] = hit
         return hit[1]
 
@@ -262,23 +330,31 @@ def _fmt_point(x: np.ndarray) -> str:
     return "(" + ", ".join(f"{v:.4g}" for v in x) + ")"
 
 
+def _at(x: np.ndarray, i: int) -> str:
+    """Name point i of the batch x, or the single point x."""
+    if x.ndim == 1:
+        return _fmt_point(x)
+    return f"sample point {i} {_fmt_point(x[i])}"
+
+
 # ---------------------------------------------------------------------------
 # vector fields and brackets
 
 
 def frame_field(ctx: PointContext, j: int) -> Jet:
-    v = np.zeros(ctx.dim)
-    v[j] = 1.0
-    return Jet(v, np.zeros((ctx.dim, ctx.dim)))
+    v = np.zeros(ctx.lead + (ctx.dim,))
+    v[..., j] = 1.0
+    return Jet(v, np.zeros(ctx.lead + (ctx.dim, ctx.dim)))
 
 
 def const_field(ctx: PointContext, comps) -> Jet:
-    return Jet(np.asarray(comps, float), np.zeros((ctx.dim, ctx.dim)))
+    v = np.broadcast_to(np.asarray(comps, float), ctx.lead + (ctx.dim,))
+    return Jet(v, np.zeros(ctx.lead + (ctx.dim, ctx.dim)))
 
 
 def operator_column(P: Jet, j: int) -> Jet:
     """The vector field P(E_j) as a jet."""
-    return Jet(P.val[:, j], P.grad[:, j, :])
+    return Jet(P.val[..., :, j], P.grad[..., :, j, :])
 
 
 def bracket(ctx: PointContext, V: Jet, W: Jet) -> np.ndarray:
@@ -286,16 +362,16 @@ def bracket(ctx: PointContext, V: Jet, W: Jet) -> np.ndarray:
     Ev = ctx.E(V)  # Ev[i][k] = E_i(v^k)
     Ew = ctx.E(W)
     return (
-        np.einsum("i,j,ijk->k", V.val, W.val, ctx.c.val)
-        + np.einsum("i,ik->k", V.val, Ew)
-        - np.einsum("j,jk->k", W.val, Ev)
+        np.einsum("...i,...j,...ijk->...k", V.val, W.val, ctx.c.val)
+        + np.einsum("...i,...ik->...k", V.val, Ew)
+        - np.einsum("...j,...jk->...k", W.val, Ev)
     )
 
 
 def brackets_with_frame(ctx: PointContext, V: Jet) -> np.ndarray:
     """B[j][k] = frame components of [V, E_j]."""
     Ev = ctx.E(V)
-    return np.einsum("i,ijk->jk", V.val, ctx.c.val) - Ev.T
+    return np.einsum("...i,...ijk->...jk", V.val, ctx.c.val) - tr(Ev)
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +381,27 @@ def brackets_with_frame(ctx: PointContext, V: Jet) -> np.ndarray:
 def lie_metric(ctx: PointContext, V: Jet) -> np.ndarray:
     """(L_V g)(E_i, E_j) = V(g_ij) - g([V,E_i],E_j) - g(E_i,[V,E_j])."""
     B = brackets_with_frame(ctx, V)
-    vg = np.einsum("k,kij->ij", V.val, ctx.Eg.val)
-    t = np.einsum("ik,kj->ij", B, ctx.g.val)
-    return vg - t - t.T
+    vg = np.einsum("...k,...kij->...ij", V.val, ctx.Eg.val)
+    t = np.einsum("...ik,...kj->...ij", B, ctx.g.val)
+    return vg - t - tr(t)
 
 
 def lie_covector(ctx: PointContext, V: Jet, w: Jet) -> np.ndarray:
     """(L_V w)(E_j) = V(w(E_j)) - w([V, E_j])."""
     B = brackets_with_frame(ctx, V)
-    return np.einsum("k,kj->j", V.val, ctx.E(w)) - np.einsum("jm,m->j", B, w.val)
+    return np.einsum("...k,...kj->...j", V.val, ctx.E(w)) - np.einsum(
+        "...jm,...m->...j", B, w.val
+    )
 
 
 def lie_operator(ctx: PointContext, V: Jet, P: Jet) -> np.ndarray:
     """(L_V P)(E_j) = [V, P E_j] - P([V, E_j]), returned as an operator table."""
     B = brackets_with_frame(ctx, V)
-    out = np.empty((ctx.dim, ctx.dim))
+    out = np.empty(ctx.lead + (ctx.dim, ctx.dim))
     for j in range(ctx.dim):
-        out[:, j] = bracket(ctx, V, operator_column(P, j)) - P.val @ B[j]
+        out[..., :, j] = bracket(ctx, V, operator_column(P, j)) - np.einsum(
+            "...km,...m->...k", P.val, B[..., j, :]
+        )
     return out
 
 
@@ -332,13 +412,13 @@ def lie_operator(ctx: PointContext, V: Jet, P: Jet) -> np.ndarray:
 def ext_d1(ctx: PointContext, w: Jet) -> np.ndarray:
     """dw[i][j] for a 1-form jet: (1/2)(E_i w_j - E_j w_i - c[i][j][m] w_m)."""
     Ew = ctx.E(w)
-    return 0.5 * (Ew - Ew.T - np.einsum("ijm,m->ij", ctx.c.val, w.val))
+    return 0.5 * (Ew - tr(Ew) - np.einsum("...ijm,...m->...ij", ctx.c.val, w.val))
 
 
 def ext_d1_jet(ctx: PointContext, w: Jet) -> Jet:
     """Like ext_d1 but propagating gradients; needs w.grad2."""
     Ew = ctx.E_jet(w)
-    return 0.5 * (Ew - Ew.t(1, 0) - jet_einsum("ijm,m->ij", ctx.c, w))
+    return 0.5 * (Ew - Ew.t(1, 0) - jet_einsum("...ijm,...m->...ij", ctx.c, w))
 
 
 def ext_d2(ctx: PointContext, W: Jet) -> np.ndarray:
@@ -347,19 +427,19 @@ def ext_d2(ctx: PointContext, W: Jet) -> np.ndarray:
     cv, Wv = ctx.c.val, W.val
     out = (
         EW
-        - EW.transpose(1, 0, 2)
-        + EW.transpose(1, 2, 0)
-        - np.einsum("ijm,mk->ijk", cv, Wv)
-        + np.einsum("ikm,mj->ijk", cv, Wv)
-        - np.einsum("jkm,mi->ijk", cv, Wv)
+        - tr(EW, 1, 0, 2)
+        + tr(EW, 1, 2, 0)
+        - np.einsum("...ijm,...mk->...ijk", cv, Wv)
+        + np.einsum("...ikm,...mj->...ijk", cv, Wv)
+        - np.einsum("...jkm,...mi->...ijk", cv, Wv)
     )
     return out / 3.0
 
 
 def wedge_1_2(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(w ^ W)[i][j][k] = (1/3)(w_i W_jk + w_j W_ki + w_k W_ij)."""
-    t = np.einsum("i,jk->ijk", w, W)
-    return (t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)) / 3.0
+    t = np.einsum("...i,...jk->...ijk", w, W)
+    return (t + tr(t, 1, 2, 0) + tr(t, 2, 0, 1)) / 3.0
 
 
 # ---------------------------------------------------------------------------

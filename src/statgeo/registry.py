@@ -1,14 +1,15 @@
 """Named residual checks with gating, statuses, and aggregation.
 
-A check evaluates a tensor identity on a fixture over a batch of point
-contexts and reports the worst relative residual.  Checks whose identity only
-holds under extra hypotheses carry a gate; when the gate fails the check
-reports `hypothesis-unmet` (or `skipped`) instead of running, together with
-the measured hypothesis residual.
+A check evaluates a tensor identity on a fixture over a batched point
+context and reports the worst relative residual over its points.  Checks
+whose identity only holds under extra hypotheses carry a gate; when the gate
+fails the check reports `hypothesis-unmet` (or `skipped`) instead of
+running, together with the measured hypothesis residual.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,9 +38,11 @@ def abs_max(a) -> float:
 class CheckDef:
     """One named identity.
 
-    run: fn(fix, ctx) -> float, the residual at one point.
+    run: fn(fix, ctxs) -> float, the worst residual over the points of a
+        context (a batch, or a single point).
     gate: fn(fix, ctxs, tol) -> (ok, hypothesis_residual, note); when ok is
-        False the check is not graded.
+        False the check is not graded.  A report evaluates each distinct gate
+        once.
     report_when_gated: still evaluate `run` behind a failed gate and report
         the measured residual in the notes (for characterisations that are
         informative even when their hypothesis is not declared).
@@ -93,7 +96,14 @@ def register(chk: CheckDef) -> CheckDef:
     return chk
 
 
-def run_check(chk: CheckDef, fix, ctxs, tol: float) -> CheckResult:
+def run_check(
+    chk: CheckDef, fix, ctxs, tol: float, gates: dict | None = None
+) -> CheckResult:
+    """Grade one check on the batch ctxs.  `gates` caches gate outcomes for
+    one (fix, ctxs, tol), keyed by the unwrapped gate function, so that
+    pass-through wrappers of one gate share an entry."""
+    if gates is None:
+        gates = {}
     missing = [n for n in chk.needs if not fix.has(n)]
     if missing:
         return CheckResult(
@@ -103,17 +113,20 @@ def run_check(chk: CheckDef, fix, ctxs, tol: float) -> CheckResult:
     note = None
     hres = None
     if chk.gate is not None:
-        ok, hres, note = chk.gate(fix, ctxs, tol)
+        key = inspect.unwrap(chk.gate)
+        if key not in gates:
+            gates[key] = chk.gate(fix, ctxs, tol)
+        ok, hres, note = gates[key]
         if not ok:
             if chk.report_when_gated:
-                mx = max(chk.run(fix, ctx) for ctx in ctxs)
+                mx = chk.run(fix, ctxs)
                 extra = f"residual if graded: {mx:.6e}"
                 note = f"{note}; {extra}" if note else extra
             return CheckResult(
                 chk.name, chk.suite, chk.gate_fail_status, None, hres,
                 len(ctxs), notes=note,
             )
-    mx = max(chk.run(fix, ctx) for ctx in ctxs)
+    mx = chk.run(fix, ctxs)
     status = PASS if mx <= tol else FAIL
     if chk.annotate is not None:
         extra = chk.annotate if isinstance(chk.annotate, str) else chk.annotate(fix, ctxs)
@@ -125,7 +138,8 @@ def run_all(fix, ctxs, tol: float, names: set[str] | None = None) -> list[CheckR
     defs = sorted(REGISTRY, key=lambda c: c.name)
     if names is not None:
         defs = [c for c in defs if c.name in names]
-    return [run_check(c, fix, ctxs, tol) for c in defs]
+    gates: dict = {}
+    return [run_check(c, fix, ctxs, tol, gates) for c in defs]
 
 
 def unconditional_names() -> list[str]:

@@ -26,6 +26,7 @@ from .frame import (
     jet_einsum,
     lie_covector,
     operator_column,
+    tr,
     wedge_1_2,
 )
 
@@ -74,7 +75,7 @@ class AlmostHermitianStructure:
 
 def fundamental_form(ctx: PointContext, P: Jet) -> Jet:
     """F[i][j] = g(P E_i, E_j)."""
-    return jet_einsum("ki,kj->ij", P, ctx.g)
+    return jet_einsum("...ki,...kj->...ij", P, ctx.g)
 
 
 def nabla_operator(ctx, conn: AffineConnection, P: Jet) -> np.ndarray:
@@ -82,21 +83,21 @@ def nabla_operator(ctx, conn: AffineConnection, P: Jet) -> np.ndarray:
     G = conn.jet(ctx).val
     return (
         ctx.E(P)
-        + np.einsum("mj,imk->ikj", P.val, G)
-        - np.einsum("ijm,km->ikj", G, P.val)
+        + np.einsum("...mj,...imk->...ikj", P.val, G)
+        - np.einsum("...ijm,...km->...ikj", G, P.val)
     )
 
 
 def nabla_vector(ctx, conn: AffineConnection, v: Jet) -> np.ndarray:
     """NV[i][k]: E_k-component of nabla_{E_i} V."""
     G = conn.jet(ctx).val
-    return ctx.E(v) + np.einsum("j,ijk->ik", v.val, G)
+    return ctx.E(v) + np.einsum("...j,...ijk->...ik", v.val, G)
 
 
 def nabla_covector(ctx, conn: AffineConnection, w: Jet) -> np.ndarray:
     """NW[i][j] = (nabla_{E_i} w)(E_j)."""
     G = conn.jet(ctx).val
-    return ctx.E(w) - np.einsum("ijm,m->ij", G, w.val)
+    return ctx.E(w) - np.einsum("...ijm,...m->...ij", G, w.val)
 
 
 def nabla_2form(ctx, conn: AffineConnection, W: Jet) -> np.ndarray:
@@ -104,42 +105,46 @@ def nabla_2form(ctx, conn: AffineConnection, W: Jet) -> np.ndarray:
     G = conn.jet(ctx).val
     return (
         ctx.E(W)
-        - np.einsum("ijm,mk->ijk", G, W.val)
-        - np.einsum("ikm,jm->ijk", G, W.val)
+        - np.einsum("...ijm,...mk->...ijk", G, W.val)
+        - np.einsum("...ikm,...jm->...ijk", G, W.val)
     )
 
 
 def op_commutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
     """(K_X P) as [i][k][j]: K_{E_i}(P E_j) - P(K_{E_i} E_j)."""
-    return np.einsum("mj,imk->ikj", Pv, K) - np.einsum("ijm,km->ikj", K, Pv)
+    return np.einsum("...mj,...imk->...ikj", Pv, K) - np.einsum(
+        "...ijm,...km->...ikj", K, Pv
+    )
 
 
 def op_anticommutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
     """[i][k][j]: K_{E_i}(P E_j) + P(K_{E_i} E_j)."""
-    return np.einsum("mj,imk->ikj", Pv, K) + np.einsum("ijm,km->ikj", K, Pv)
+    return np.einsum("...mj,...imk->...ikj", Pv, K) + np.einsum(
+        "...ijm,...km->...ikj", K, Pv
+    )
 
 
 def op_lower(ctx, NP: np.ndarray) -> np.ndarray:
     """T[i][j][k] = g((...)E_j, E_k) for an [i][k][j] operator family."""
-    return np.einsum("imj,mk->ijk", NP, ctx.g.val)
+    return np.einsum("...imj,...mk->...ijk", NP, ctx.g.val)
 
 
 def nijenhuis(ctx: PointContext, P: Jet) -> np.ndarray:
     """N[i][j][k]: E_k-component of
     P^2 [E_i,E_j] + [P E_i, P E_j] - P [P E_i, E_j] - P [E_i, P E_j]."""
     n = ctx.dim
-    out = np.einsum("ijm,km->ijk", ctx.c.val, P.val @ P.val)
+    out = np.einsum("...ijm,...km->...ijk", ctx.c.val, P.val @ P.val)
     cols = [operator_column(P, j) for j in range(n)]
     frames = [frame_field(ctx, j) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = (
                 bracket(ctx, cols[i], cols[j])
-                - P.val @ bracket(ctx, cols[i], frames[j])
-                - P.val @ bracket(ctx, frames[i], cols[j])
+                - np.einsum("...km,...m->...k", P.val, bracket(ctx, cols[i], frames[j]))
+                - np.einsum("...km,...m->...k", P.val, bracket(ctx, frames[i], cols[j]))
             )
-            out[i, j] += v
-            out[j, i] -= v
+            out[..., i, j, :] += v
+            out[..., j, i, :] -= v
     return out
 
 
@@ -148,7 +153,7 @@ def n1_tensor(ctx: PointContext, contact: AlmostContactStructure) -> np.ndarray:
     P = contact.phi(ctx)
     xi = contact.xi(ctx)
     deta = ext_d1(ctx, contact.eta(ctx))
-    return nijenhuis(ctx, P) + 2.0 * np.einsum("ij,k->ijk", deta, xi.val)
+    return nijenhuis(ctx, P) + 2.0 * np.einsum("...ij,...k->...ijk", deta, xi.val)
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +164,16 @@ def classify(fix, ctxs, tol: float) -> dict | None:
     """Measured class residuals and the flags they imply at tolerance tol."""
     out = {}
     if fix.has("contact"):
-        d_eta = d_phi = kenmotsu_defect = contact_defect = n1 = 0.0
-        for ctx in ctxs:
-            ct = fix.contact
-            eta = ct.eta(ctx)
-            Phi = fundamental_form(ctx, ct.phi(ctx))
-            deta = ext_d1(ctx, eta)
-            dPhi = ext_d2(ctx, Phi)
-            d_eta = max(d_eta, reg.abs_max(deta))
-            d_phi = max(d_phi, reg.abs_max(dPhi))
-            kenmotsu_defect = max(
-                kenmotsu_defect,
-                reg.abs_max(dPhi - 2.0 * wedge_1_2(eta.val, Phi.val)),
-            )
-            contact_defect = max(contact_defect, reg.abs_max(deta - Phi.val))
-            n1 = max(n1, reg.abs_max(n1_tensor(ctx, ct)))
+        ct = fix.contact
+        eta = ct.eta(ctxs)
+        Phi = fundamental_form(ctxs, ct.phi(ctxs))
+        deta = ext_d1(ctxs, eta)
+        dPhi = ext_d2(ctxs, Phi)
+        d_eta = reg.abs_max(deta)
+        d_phi = reg.abs_max(dPhi)
+        kenmotsu_defect = reg.abs_max(dPhi - 2.0 * wedge_1_2(eta.val, Phi.val))
+        contact_defect = reg.abs_max(deta - Phi.val)
+        n1 = reg.abs_max(n1_tensor(ctxs, ct))
         residuals = {
             "d_eta": d_eta,
             "d_fundamental": d_phi,
@@ -196,12 +196,9 @@ def classify(fix, ctxs, tol: float) -> dict | None:
         }
         out["contact"] = {"residuals": residuals, "flags": flags}
     if fix.has("hermitian"):
-        d_omega = nabla0_J = 0.0
-        for ctx in ctxs:
-            J = fix.hermitian.J(ctx)
-            Omega = fundamental_form(ctx, J)
-            d_omega = max(d_omega, reg.abs_max(ext_d2(ctx, Omega)))
-            nabla0_J = max(nabla0_J, reg.abs_max(nabla_operator(ctx, fix.lc, J)))
+        J = fix.hermitian.J(ctxs)
+        d_omega = reg.abs_max(ext_d2(ctxs, fundamental_form(ctxs, J)))
+        nabla0_J = reg.abs_max(nabla_operator(ctxs, fix.lc, J))
         out["hermitian"] = {
             "residuals": {"d_omega": d_omega, "metric_connection_J": nabla0_J},
             "flags": {
@@ -213,13 +210,9 @@ def classify(fix, ctxs, tol: float) -> dict | None:
 
 
 def almost_cosymplectic_residual(fix, ctxs) -> float:
-    r = 0.0
-    for ctx in ctxs:
-        ct = fix.contact
-        r = max(r, reg.abs_max(ext_d1(ctx, ct.eta(ctx))))
-        Phi = fundamental_form(ctx, ct.phi(ctx))
-        r = max(r, reg.abs_max(ext_d2(ctx, Phi)))
-    return r
+    ct = fix.contact
+    Phi = fundamental_form(ctxs, ct.phi(ctxs))
+    return max(reg.abs_max(ext_d1(ctxs, ct.eta(ctxs))), reg.abs_max(ext_d2(ctxs, Phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,36 +222,37 @@ def almost_cosymplectic_residual(fix, ctxs) -> float:
 def _chk_phi_sq(fix, ctx):
     ct = fix.contact
     P = ct.phi(ctx).val
-    rhs = -np.eye(ctx.dim) + np.outer(ct.xi(ctx).val, ct.eta(ctx).val)
+    rhs = -np.eye(ctx.dim) + np.einsum("...i,...j->...ij", ct.xi(ctx).val, ct.eta(ctx).val)
     return reg.rel_residual(P @ P, rhs)
 
 
 def _chk_eta_xi(fix, ctx):
     ct = fix.contact
-    return abs(float(ct.eta(ctx).val @ ct.xi(ctx).val) - 1.0)
+    return reg.abs_max(np.einsum("...i,...i->...", ct.eta(ctx).val, ct.xi(ctx).val) - 1.0)
 
 
 def _chk_compat(fix, ctx):
     ct = fix.contact
     P = ct.phi(ctx).val
     eta = ct.eta(ctx).val
-    lhs = np.einsum("ki,km,mj->ij", P, ctx.g.val, P)
-    return reg.rel_residual(lhs, ctx.g.val - np.outer(eta, eta))
+    lhs = np.einsum("...ki,...km,...mj->...ij", P, ctx.g.val, P)
+    return reg.rel_residual(lhs, ctx.g.val - np.einsum("...i,...j->...ij", eta, eta))
 
 
 def _chk_eta_metric(fix, ctx):
     ct = fix.contact
-    return reg.rel_residual(ct.eta(ctx).val, ct.xi(ctx).val @ ctx.g.val)
+    xi_low = np.einsum("...i,...ij->...j", ct.xi(ctx).val, ctx.g.val)
+    return reg.rel_residual(ct.eta(ctx).val, xi_low)
 
 
 def _chk_phi_xi(fix, ctx):
     ct = fix.contact
-    return reg.abs_max(ct.phi(ctx).val @ ct.xi(ctx).val)
+    return reg.abs_max(np.einsum("...ij,...j->...i", ct.phi(ctx).val, ct.xi(ctx).val))
 
 
 def _chk_eta_phi(fix, ctx):
     ct = fix.contact
-    return reg.abs_max(ct.eta(ctx).val @ ct.phi(ctx).val)
+    return reg.abs_max(np.einsum("...i,...ij->...j", ct.eta(ctx).val, ct.phi(ctx).val))
 
 
 def _chk_j_sq(fix, ctx):
@@ -268,8 +262,8 @@ def _chk_j_sq(fix, ctx):
 
 def _chk_j_skew(fix, ctx):
     J = fix.hermitian.J(ctx).val
-    Om = np.einsum("ki,kj->ij", J, ctx.g.val)
-    return reg.abs_max(Om + Om.T)
+    Om = np.einsum("...ki,...kj->...ij", J, ctx.g.val)
+    return reg.abs_max(Om + tr(Om))
 
 
 for _name, _fn in [
@@ -303,23 +297,16 @@ def _herm_parts(fix, ctx):
     return J, K
 
 
-# sign of the exterior-derivative block and of the Nijenhuis block in the
-# first-derivative formulas below; pinned numerically on model frames where
-# exactly one block is active at a time
-_D_BLOCK_SIGN = 1.0
-_N_BLOCK_SIGN = 1.0
-
-
 def _gray_rhs_hermitian(fix, ctx, J: Jet) -> np.ndarray:
     """The torsion-free part of 2 g((nabla0_X J)Y, Z): exterior-derivative
     block plus Nijenhuis block."""
     Jv = J.val
     Omega = fundamental_form(ctx, J)
     dOm = ext_d2(ctx, Omega)
-    dOmJJ = np.einsum("iml,mj,lk->ijk", dOm, Jv, Jv)
+    dOmJJ = np.einsum("...iml,...mj,...lk->...ijk", dOm, Jv, Jv)
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("jkm,li,ml->ijk", N, Jv, ctx.g.val)
-    return _D_BLOCK_SIGN * 3.0 * (dOm - dOmJJ) + _N_BLOCK_SIGN * NJX
+    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+    return 3.0 * (dOm - dOmJJ) + NJX
 
 
 def _chk_aziz1(fix, ctx):
@@ -327,7 +314,7 @@ def _chk_aziz1(fix, ctx):
     NJ = nabla_operator(ctx, fix.nabla, J)
     NJs = nabla_operator(ctx, fix.nabla_star, J)
     lhs = op_lower(ctx, NJ)
-    rhs = -np.einsum("imk,mj->ijk", NJs, ctx.g.val)
+    rhs = -np.einsum("...imk,...mj->...ijk", NJs, ctx.g.val)
     return reg.rel_residual(lhs, rhs)
 
 
@@ -347,12 +334,12 @@ def _chk_aziz3(fix, ctx):
 
 def _kj_lowered(ctx, K, Jv):
     """T[i][j][k] = g(K_{E_i}(J E_j), E_k)."""
-    return np.einsum("mj,iml,lk->ijk", Jv, K, ctx.g.val)
+    return np.einsum("...mj,...iml,...lk->...ijk", Jv, K, ctx.g.val)
 
 
 def _jk_lowered(ctx, K, Jv):
     """T[i][j][k] = g(J(K_{E_i} E_j), E_k)."""
-    return np.einsum("ijm,lm,lk->ijk", K, Jv, ctx.g.val)
+    return np.einsum("...ijm,...lm,...lk->...ijk", K, Jv, ctx.g.val)
 
 
 def _chk_aziz4(fix, ctx):
@@ -390,7 +377,7 @@ def _chk_aziz5b(fix, ctx):
 def _chk_cyclic86(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
-    return reg.abs_max(S + S.transpose(1, 2, 0) + S.transpose(2, 0, 1))
+    return reg.abs_max(_cyclic_sum(S))
 
 
 def _chk_aziz6(fix, ctx):
@@ -411,9 +398,9 @@ def _chk_aziz8(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     Jv = J.val
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("jkm,li,ml->ijk", N, Jv, ctx.g.val)
+    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
     lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla, J))
-    rhs = 2.0 * op_lower(ctx, op_commutator(K, Jv)) + _N_BLOCK_SIGN * NJX
+    rhs = 2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
     return reg.rel_residual(lhs, rhs)
 
 
@@ -421,14 +408,14 @@ def _chk_aziz9(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     Jv = J.val
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("jkm,li,ml->ijk", N, Jv, ctx.g.val)
+    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
     lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla_star, J))
-    rhs = -2.0 * op_lower(ctx, op_commutator(K, Jv)) + _N_BLOCK_SIGN * NJX
+    rhs = -2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
     return reg.rel_residual(lhs, rhs)
 
 
 def _cyclic_sum(T: np.ndarray) -> np.ndarray:
-    return T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+    return T + tr(T, 1, 2, 0) + tr(T, 2, 0, 1)
 
 
 def _chk_aziz81(fix, ctx):
@@ -473,20 +460,15 @@ def _chk_holo_defect(fix, ctx):
 
 
 def _gate_almost_kaehler(fix, ctxs, tol):
-    r = 0.0
-    for ctx in ctxs:
-        J = fix.hermitian.J(ctx)
-        r = max(r, reg.abs_max(ext_d2(ctx, fundamental_form(ctx, J))))
+    J = fix.hermitian.J(ctxs)
+    r = reg.abs_max(ext_d2(ctxs, fundamental_form(ctxs, J)))
     if r <= tol:
         return True, r, None
     return False, r, "fundamental 2-form is not closed"
 
 
 def _gate_kaehler(fix, ctxs, tol):
-    r = 0.0
-    for ctx in ctxs:
-        J = fix.hermitian.J(ctx)
-        r = max(r, reg.abs_max(nabla_operator(ctx, fix.lc, J)))
+    r = reg.abs_max(nabla_operator(ctxs, fix.lc, fix.hermitian.J(ctxs)))
     if not fix.flags.get("kaehler", False):
         return False, r, "fixture not declared kaehler"
     if r > tol:
@@ -566,7 +548,7 @@ def _chk_aa3(fix, ctx):
     NP = nabla_operator(ctx, fix.nabla, P)
     NPs = nabla_operator(ctx, fix.nabla_star, P)
     lhs = op_lower(ctx, NP)
-    rhs = -np.einsum("imk,mj->ijk", NPs, ctx.g.val)
+    rhs = -np.einsum("...imk,...mj->...ijk", NPs, ctx.g.val)
     return reg.rel_residual(lhs, rhs)
 
 
@@ -635,22 +617,23 @@ def _gray_rhs_contact(fix, ctx) -> np.ndarray:
     ev = eta.val
     Phi = fundamental_form(ctx, P)
     dPhi = ext_d2(ctx, Phi)
-    dPhiPP = np.einsum("iml,mj,lk->ijk", dPhi, Pv, Pv)
+    dPhiPP = np.einsum("...iml,...mj,...lk->...ijk", dPhi, Pv, Pv)
     N1 = n1_tensor(ctx, ct)
-    N1PX = np.einsum("jkm,li,ml->ijk", N1, Pv, ctx.g.val)
+    N1PX = np.einsum("...jkm,...li,...ml->...ijk", N1, Pv, ctx.g.val)
     # N2[j][k] = (L_{phi E_j} eta)(E_k) - (L_{phi E_k} eta)(E_j)
     M = np.stack(
-        [lie_covector(ctx, operator_column(P, j), eta) for j in range(ctx.dim)]
+        [lie_covector(ctx, operator_column(P, j), eta) for j in range(ctx.dim)],
+        axis=-2,
     )
-    N2 = M - M.T
+    N2 = M - tr(M)
     deta = ext_d1(ctx, eta)
-    dEtaP = np.einsum("mi,mj->ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
+    dEtaP = np.einsum("...mi,...mj->...ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
     rhs = (
-        _D_BLOCK_SIGN * 3.0 * (dPhi - dPhiPP)
-        + _N_BLOCK_SIGN * N1PX
-        + np.einsum("jk,i->ijk", N2, ev)
-        + 2.0 * np.einsum("ij,k->ijk", dEtaP, ev)
-        - 2.0 * np.einsum("ik,j->ijk", dEtaP, ev)
+        3.0 * (dPhi - dPhiPP)
+        + N1PX
+        + np.einsum("...jk,...i->...ijk", N2, ev)
+        + 2.0 * np.einsum("...ij,...k->...ijk", dEtaP, ev)
+        - 2.0 * np.einsum("...ik,...j->...ijk", dEtaP, ev)
     )
     return rhs
 

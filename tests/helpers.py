@@ -1,10 +1,16 @@
-"""Shared test utilities: seeded random expressions and finite differences."""
+"""Shared test utilities: seeded random expressions, finite differences, and
+second implementations that the package's results are compared against."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from statgeo import expr as ex
+from statgeo import registry as reg
+from statgeo.frame import Jet
+from statgeo.structures import nabla_operator, nabla_vector
 
 
 def random_expr(rng: random.Random, coords: tuple[str, ...], depth: int) -> ex.Expr:
@@ -53,3 +59,25 @@ def fd_partial(e: ex.Expr, env: dict[str, float], var: str, h: float = 1e-5) -> 
     hi[var] = env[var] + step
     lo[var] = env[var] - step
     return (ex.eval_expr(e, hi) - ex.eval_expr(e, lo)) / (2.0 * step)
+
+
+def nabla_operator_columns(ctx, conn, P: Jet) -> np.ndarray:
+    """(nabla_{E_i} P)E_j assembled column by column: differentiate the vector
+    field P E_j and subtract P(nabla_{E_i} E_j).  An independent route to
+    statgeo.structures.nabla_operator."""
+    G = conn.jet(ctx).val
+    out = np.empty(ctx.lead + (ctx.dim,) * 3)
+    for j in range(ctx.dim):
+        col = Jet(P.val[..., :, j], P.grad[..., :, j, :])
+        out[..., :, :, j] = nabla_vector(ctx, conn, col)
+    return out - np.einsum("...ijm,...km->...ikj", G, P.val)
+
+
+def nabla_a(ctx, conn, A: Jet) -> np.ndarray:
+    """Covariant derivative of an operator jet, graded against the column
+    assembly before being returned."""
+    one = nabla_operator(ctx, conn, A)
+    two = nabla_operator_columns(ctx, conn, A)
+    if reg.abs_max(one - two) > 1e-9 * (1.0 + reg.abs_max(one)):
+        raise AssertionError("operator derivative implementations disagree")
+    return one

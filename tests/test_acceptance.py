@@ -8,19 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import fd_partial, random_expr, random_point
+from helpers import fd_partial, nabla_operator_columns, random_expr, random_point
 from statgeo import expr as ex
 from statgeo import registry as reg
 from statgeo.cli import main as cli_main
 from statgeo.connections import Conjugate, check_dualistic, difference_jet
 from statgeo.cosymplectic import a_tensors, builtin_fixture, product_construct
-from statgeo.curvature import (
-    _chk_rzz,
-    _k_xi_phi,
-    a_jet,
-    nabla_operator_columns,
-    ricci,
-)
+from statgeo.curvature import _chk_rzz, _k_xi_phi, a_jet, ricci
 from statgeo.fixtures import builtin_base
 from statgeo.frame import sample_points
 from statgeo.structures import classify, nabla_operator

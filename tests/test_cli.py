@@ -9,6 +9,7 @@ import pytest
 
 import statgeo
 from statgeo.cli import main
+from statgeo.frame import sample_points
 
 FLAT_2D = {
     "dim": 2,
@@ -128,6 +129,27 @@ def test_spec_validation_errors(capsys, tmp_path, mangle, fragment):
     mangle(doc)
     code, _, err = run(capsys, "check", write_spec(tmp_path, doc))
     assert code == 2
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "sampling,fragment",
+    [
+        ({"points": "5"}, "sampling.points"),
+        ({"seed": "x"}, "sampling.seed"),
+        ({"tolerance": "1e-9"}, "sampling.tolerance"),
+        ({"points": True}, "sampling.points"),
+        ({"tolerance": False}, "sampling.tolerance"),
+        ({"seed": -1}, "seed"),
+        ({"box": [[0], [0, 1]]}, "sampling.box"),
+    ],
+)
+def test_sampling_block_errors_exit_2(capsys, tmp_path, sampling, fragment):
+    doc = copy.deepcopy(FLAT_2D)
+    doc["sampling"] = sampling
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert fragment in err
 
 
@@ -346,3 +368,36 @@ def test_python_m_statgeo():
     r = run_python("-m", "statgeo", *CHECK_ARGV)
     assert r.returncode == 0
     assert json.loads(r.stdout)["summary"]["fail"] == 0
+
+
+def test_domain_error_names_first_offending_point(tmp_path):
+    doc = {
+        "dim": 2,
+        "coords": ["t", "x"],
+        "frame": [["1", "0"], ["log(t)", "1"]],
+        "metric": [["1", "0"], ["0", "1"]],
+    }
+    pts = sample_points(2, [(-1.0, 1.0)] * 2, 20, 42)
+    i = next(k for k, p in enumerate(pts) if p[0] <= 0)
+    assert i > 0  # the message must locate the point, not default to the first
+    where = "(" + ", ".join(f"{v:.4g}" for v in pts[i]) + ")"
+    r = run_python("-m", "statgeo", "check", write_spec(tmp_path, doc))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: log of non-positive value")
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert f"at sample point {i} {where}" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
+def test_tiny_well_conditioned_metric_is_accepted(capsys, tmp_path):
+    # det(1e-5 I) = 1e-15 in dim 3; singularity is judged relative to scale
+    doc = {
+        "dim": 3,
+        "coords": ["t", "x", "y"],
+        "frame": [["1", "0", "0"], ["0", "exp(-t)", "0"], ["0", "0", "exp(t)"]],
+        "metric": [["1e-5", "0", "0"], ["0", "1e-5", "0"], ["0", "0", "1e-5"]],
+        "connections": {"random_K_seed": 2},
+    }
+    code, rep, err = run_json(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 0 and err == ""
+    assert rep["summary"]["fail"] == 0 and rep["summary"]["pass"] > 0

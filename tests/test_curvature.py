@@ -4,17 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statgeo import registry as reg
-from statgeo.connections import Conjugate, LeviCivita, MeanConnection
+from statgeo.connections import Conjugate, LeviCivita, MeanConnection, random_statistical
 from statgeo.cosymplectic import a_tensors, builtin_fixture
-from statgeo.curvature import (
-    a_jet,
-    h_tensors,
-    nabla_a,
-    nabla_operator_columns,
-    ricci,
-    riemann,
-)
+from helpers import nabla_a, nabla_operator_columns
+from statgeo.curvature import a_jet, h_tensors, ricci, riemann
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
+from statgeo.frame import Manifold, sample_points
 from statgeo.structures import nabla_operator
 
 NAMES = [c.name for c in reg.REGISTRY if c.suite == "curvature"]
@@ -104,6 +99,39 @@ def test_operator_derivative_implementations_agree():
             two = nabla_operator_columns(ctx, fix.nabla, A)
             assert reg.abs_max(one - two) < 1e-12
             nabla_a(ctx, fix.nabla, A)  # built-in tie must not raise
+
+
+@pytest.mark.parametrize(
+    "fix",
+    [
+        builtin_fixture("dacko-variant-1").with_random_statistical(4),
+        builtin_fixture("sasakian-r3"),
+        random_contact_frame(3),
+        random_hermitian_frame(5),
+    ],
+    ids=lambda f: f.name,
+)
+def test_ricci_agrees_with_frame_contraction(fix):
+    # the orthonormal-frame trace against the plain contraction R[i][j][k][i]
+    ctxs = fix.sample_contexts(6, 11)
+    for conn in (fix.nabla, fix.nabla_star, fix.lc):
+        S = ricci(ctxs, conn)
+        tie = np.einsum("...ijki->...jk", riemann(ctxs, conn))
+        assert reg.abs_max(S - tie) <= 1e-12 * (1.0 + reg.abs_max(S))
+
+
+def test_ricci_trace_with_nonorthonormal_metric():
+    m = Manifold(
+        ("t", "x", "y"),
+        [[1, 0, 0], [0, "exp(-t)", "0.2*x"], [0, 0, "exp(t)"]],
+        [[1, "0.1*x", 0], ["0.1*x", "1 + x^2", 0], [0, 0, "exp(0.4*t)"]],
+    )
+    nabla, nabla_star = random_statistical(m, 6)
+    ctxs = m.contexts(sample_points(3, [(-1, 1)] * 3, 6, seed=2))
+    for conn in (nabla, nabla_star):
+        S = ricci(ctxs, conn)
+        tie = np.einsum("...ijki->...jk", riemann(ctxs, conn))
+        assert reg.abs_max(S - tie) <= 1e-12 * (1.0 + reg.abs_max(S))
 
 
 CASES = {

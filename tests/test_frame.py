@@ -203,6 +203,33 @@ def test_singular_frame_rejected():
         m.context([0.5, 0.5])
 
 
+def test_singularity_test_is_scale_free():
+    for s in (1e-8, 1.0, 1e8):
+        ctx = Manifold(("t", "x"), [[s, 0], [0, s]], [[s, 0], [0, s]]).context([0.1, 0.2])
+        assert np.allclose(ctx.ginv.val * s, np.eye(2), atol=1e-12)
+        m = Manifold(("t", "x"), [[s, 0], [f"{s}*t", 0]], [[1, 0], [0, 1]])
+        with pytest.raises(GeometryError, match="frame"):
+            m.context([0.5, 0.5])
+
+
+def test_batch_names_the_singular_point():
+    m = Manifold(("t", "x"), [[1, 0], [0, 1]], [["t", 0], [0, 1]])
+    with pytest.raises(GeometryError, match=r"metric at sample point 1 \(0, 0.5\)"):
+        m.contexts([[0.3, 0.5], [0.0, 0.5], [0.0, 0.1]])
+
+
+def test_batch_is_a_sequence_of_points():
+    pts = sample_points(3, [(-1, 1)] * 3, 4, seed=2)
+    batch = MESSY.contexts(pts)
+    assert len(batch) == 4 and batch.c.val.shape == (4, 3, 3, 3)
+    for k, ctx in enumerate(batch):
+        assert ctx.x.shape == (3,)
+        assert np.array_equal(ctx.c.val, batch.c.val[k])
+        assert np.array_equal(ctx.Eg.grad, batch.Eg.grad[k])
+    with pytest.raises(TypeError):
+        len(batch[0])
+
+
 def test_asymmetric_metric_rejected():
     m = Manifold(("t", "x"), [[1, 0], [0, 1]], [[1, "t"], [0, 1]])
     with pytest.raises(GeometryError, match="symmetric"):
