@@ -127,6 +127,9 @@ def fixture_from_doc(doc: dict, name: str) -> tuple[Fixture, dict]:
     flags = doc.get("flags", {})
     if not isinstance(flags, dict):
         raise InputError(f"{name}: flags must be an object")
+    for key, v in flags.items():
+        if not isinstance(v, bool):
+            raise InputError(f"{name}: flags.{key} must be true or false, got {json.dumps(v)}")
 
     sampling = doc.get("sampling", {})
     if not isinstance(sampling, dict):

@@ -16,7 +16,16 @@ import numpy as np
 
 from . import registry as reg
 from .expr import Expr
-from .frame import ExprTable, GeometryError, Jet, Manifold, PointContext, jet_einsum, tr
+from .frame import (
+    ExprTable,
+    GeometryError,
+    Jet,
+    Manifold,
+    PointContext,
+    contract,
+    jet_einsum,
+    tr,
+)
 
 
 class AffineConnection:
@@ -89,8 +98,8 @@ class SymmetricCubic:
         self.C = C
 
     def table(self, ctx):
-        K = np.einsum("ijl,...lk->...ijk", self.C, ctx.ginv.val)
-        dK = np.einsum("ijl,...lkg->...ijkg", self.C, ctx.ginv.grad)
+        K = contract("ijl,...lk->...ijk", self.C, ctx.ginv.val)
+        dK = contract("ijl,...lkg->...ijkg", self.C, ctx.ginv.grad)
         return K, dK
 
     def jet(self, ctx) -> Jet:
@@ -187,7 +196,7 @@ def difference_jet(ctx: PointContext, a: AffineConnection, b: AffineConnection) 
 
 def lower(ctx: PointContext, T: np.ndarray) -> np.ndarray:
     """C[i][j][k] = g(T_{E_i} E_j, E_k)."""
-    return np.einsum("...ijm,...mk->...ijk", T, ctx.g.val)
+    return contract("...ijm,...mk->...ijk", T, ctx.g.val)
 
 
 def torsion(ctx: PointContext, conn: AffineConnection) -> np.ndarray:
@@ -217,7 +226,7 @@ def dualistic_residual(ctx: PointContext, nabla: AffineConnection,
     """Residual of E_i g_jk = g(nabla_{E_i}E_j, E_k) + g(E_j, nabla*_{E_i}E_k)."""
     G = nabla.jet(ctx).val
     Gs = nabla_star.jet(ctx).val
-    rhs = np.einsum("...ijm,...mk->...ijk", G, ctx.g.val) + np.einsum(
+    rhs = contract("...ijm,...mk->...ijk", G, ctx.g.val) + contract(
         "...ikm,...jm->...ijk", Gs, ctx.g.val
     )
     return reg.rel_residual(ctx.Eg.val, rhs)
@@ -233,8 +242,9 @@ def check_dualistic(manifold: Manifold, nabla: AffineConnection,
 # registered checks
 
 
-def _k_jet(fix, ctx) -> Jet:
-    return difference_jet(ctx, fix.nabla, fix.lc)
+def _k_val(fix, ctx) -> np.ndarray:
+    """The fixture's difference tensor K = nabla - nabla0, values only."""
+    return difference_jet(ctx, fix.nabla, fix.lc).val
 
 
 def _chk_stat1(fix, ctx):
@@ -257,8 +267,8 @@ def _chk_lc_metric(fix, ctx):
     G0 = fix.lc.jet(ctx).val
     nabla_g = (
         ctx.Eg.val
-        - np.einsum("...ijm,...mk->...ijk", G0, ctx.g.val)
-        - np.einsum("...ikm,...jm->...ijk", G0, ctx.g.val)
+        - contract("...ijm,...mk->...ijk", G0, ctx.g.val)
+        - contract("...ikm,...jm->...ijk", G0, ctx.g.val)
     )
     return reg.abs_max(nabla_g)
 
@@ -271,18 +281,18 @@ def _chk_mean(fix, ctx):
 
 
 def _chk_k_symm(fix, ctx):
-    K = _k_jet(fix, ctx).val
+    K = _k_val(fix, ctx)
     return reg.rel_residual(K, tr(K, 1, 0, 2))
 
 
 def _chk_k_selfadj(fix, ctx):
-    C = lower(ctx, _k_jet(fix, ctx).val)
+    C = lower(ctx, _k_val(fix, ctx))
     return reg.rel_residual(C, tr(C))
 
 
 def _chk_k_conj(fix, ctx):
     # K also measures how far nabla* sits below the metric connection
-    K = _k_jet(fix, ctx).val
+    K = _k_val(fix, ctx)
     G0 = fix.lc.jet(ctx).val
     Gs = fix.nabla_star.jet(ctx).val
     return reg.rel_residual(K, G0 - Gs)
@@ -291,7 +301,7 @@ def _chk_k_conj(fix, ctx):
 def _chk_k5(fix, ctx):
     G = fix.nabla.jet(ctx).val
     G0 = fix.lc.jet(ctx).val
-    K = _k_jet(fix, ctx).val
+    K = _k_val(fix, ctx)
     return reg.rel_residual(lower(ctx, G), lower(ctx, K) + lower(ctx, G0))
 
 

@@ -12,9 +12,19 @@ import numpy as np
 
 from . import expr as ex
 from . import registry as reg
-from .connections import AffineConnection, LeviCivita, ProductConnection, difference_jet
+from .connections import AffineConnection, ProductConnection, _k_val
 from .fixtures import BASE_BUILTIN_NAMES, Fixture, builtin_base
-from .frame import GeometryError, Jet, Manifold, as_expr, lie_covector, lie_metric, tr
+from .frame import (
+    GeometryError,
+    Jet,
+    Manifold,
+    as_expr,
+    contract,
+    cyclic,
+    lie_covector,
+    lie_metric,
+    tr,
+)
 from .structures import (
     AlmostContactStructure,
     almost_cosymplectic_residual,
@@ -25,7 +35,6 @@ from .structures import (
     nabla_operator,
     nabla_vector,
     op_commutator,
-    op_lower,
 )
 
 
@@ -44,23 +53,14 @@ def a_tensors(fix, ctx):
     )
 
 
-def _k_val(fix, ctx) -> np.ndarray:
-    return difference_jet(ctx, fix.nabla, fix.lc).val
-
-
-def _k_xi_op(K: np.ndarray, xiv: np.ndarray) -> np.ndarray:
-    """Operator table of K_xi."""
-    return tr(np.einsum("...i,...ijk->...jk", xiv, K))
-
-
 def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Components of the vector A(v) for an operator table A."""
-    return np.einsum("...ij,...j->...i", A, v)
+    return contract("...ij,...j->...i", A, v)
 
 
 def _lower(ctx, A: np.ndarray) -> np.ndarray:
     """L[i][j] = g(A E_i, E_j)."""
-    return np.einsum("...mi,...mj->...ij", A, ctx.g.val)
+    return contract("...mi,...mj->...ij", A, ctx.g.val)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def _chk_afi_iii(fix, ctx):
 def _chk_afi_iv(fix, ctx):
     A, As, _ = a_tensors(fix, ctx)
     xiv = fix.contact.xi(ctx).val
-    kxx = np.einsum("...i,...j,...ijk->...k", xiv, xiv, _k_val(fix, ctx))
+    kxx = contract("...i,...j,...ijk->...k", xiv, xiv, _k_val(fix, ctx))
     return max(
         reg.rel_residual(_apply(A, xiv), -kxx), reg.rel_residual(_apply(As, xiv), kxx)
     )
@@ -118,7 +118,7 @@ def _chk_afi_v(fix, ctx):
     xiv = ct.xi(ctx).val
     A, As, _ = a_tensors(fix, ctx)
     NP = nabla_operator(ctx, fix.nabla, P)
-    lhs = np.einsum("...i,...ikj->...kj", xiv, NP)
+    lhs = contract("...i,...ikj->...kj", xiv, NP)
     return reg.rel_residual(lhs, P.val @ A + As @ P.val)
 
 
@@ -128,7 +128,7 @@ def _chk_afi_vi(fix, ctx):
     xiv = ct.xi(ctx).val
     A, As, _ = a_tensors(fix, ctx)
     NPs = nabla_operator(ctx, fix.nabla_star, P)
-    lhs = np.einsum("...i,...ikj->...kj", xiv, NPs)
+    lhs = contract("...i,...ikj->...kj", xiv, NPs)
     return reg.rel_residual(lhs, P.val @ As + A @ P.val)
 
 
@@ -144,18 +144,14 @@ def _chk_aksi(fix, ctx):
     return reg.abs_max(_apply(A, xiv) + _apply(As, xiv))
 
 
-def _cyclic(T: np.ndarray) -> np.ndarray:
-    return T + tr(T, 1, 2, 0) + tr(T, 2, 0, 1)
-
-
 def _chk_kf1a(fix, ctx):
     Phi = fundamental_form(ctx, fix.contact.phi(ctx))
-    return reg.abs_max(_cyclic(nabla_2form(ctx, fix.nabla, Phi)))
+    return reg.abs_max(cyclic(nabla_2form(ctx, fix.nabla, Phi)))
 
 
 def _chk_kf2a(fix, ctx):
     Phi = fundamental_form(ctx, fix.contact.phi(ctx))
-    return reg.abs_max(_cyclic(nabla_2form(ctx, fix.nabla_star, Phi)))
+    return reg.abs_max(cyclic(nabla_2form(ctx, fix.nabla_star, Phi)))
 
 
 def _chk_lksi_i(fix, ctx):
@@ -184,10 +180,10 @@ def _chk_df1(fix, ctx):
     NPhi = nabla_2form(ctx, fix.nabla, Phi)
     NPhis = nabla_2form(ctx, fix.nabla_star, Phi)
     A, As, _ = a_tensors(fix, ctx)
-    lhs = np.einsum("...ijm,...mk->...ijk", NPhi, Pv) + np.einsum(
+    lhs = contract("...ijm,...mk->...ijk", NPhi, Pv) + contract(
         "...ikm,...mj->...ijk", NPhis, Pv
     )
-    rhs = np.einsum("...j,...ik->...ijk", ev, _lower(ctx, A)) + np.einsum(
+    rhs = contract("...j,...ik->...ijk", ev, _lower(ctx, A)) + contract(
         "...k,...ij->...ijk", ev, _lower(ctx, As)
     )
     return reg.rel_residual(lhs, rhs)
@@ -201,9 +197,9 @@ def _chk_df2(fix, ctx):
     NPhi = nabla_2form(ctx, fix.nabla, Phi)
     NPhis = nabla_2form(ctx, fix.nabla_star, Phi)
     A, _, _ = a_tensors(fix, ctx)
-    GAP = np.einsum("...mi,...ml,...lk->...ik", A, ctx.g.val, Pv)  # g(A E_i, phi E_k)
-    lhs = np.einsum("...iml,...mk,...lj->...ijk", NPhis, Pv, Pv) - NPhi
-    rhs = np.einsum("...j,...ik->...ijk", ev, GAP) - np.einsum(
+    GAP = contract("...mi,...ml,...lk->...ik", A, ctx.g.val, Pv)  # g(A E_i, phi E_k)
+    lhs = contract("...iml,...mk,...lj->...ijk", NPhis, Pv, Pv) - NPhi
+    rhs = contract("...j,...ik->...ijk", ev, GAP) - contract(
         "...k,...ij->...ijk", ev, GAP
     )
     return reg.rel_residual(lhs, rhs)
@@ -230,10 +226,10 @@ def _mixed_defect(fix, ctx) -> np.ndarray:
     K = _k_val(fix, ctx)
     return (
         ctx.E(P)
-        + np.einsum("...mj,...imk->...ikj", P.val, G)
-        - np.einsum("...ijm,...km->...ikj", Gs, P.val)
-        - np.einsum("...mj,...imk->...ikj", P.val, K)
-        - np.einsum("...ijm,...km->...ikj", K, P.val)
+        + contract("...mj,...imk->...ikj", P.val, G)
+        - contract("...ijm,...km->...ikj", Gs, P.val)
+        - contract("...mj,...imk->...ikj", P.val, K)
+        - contract("...ijm,...km->...ikj", K, P.val)
     )
 
 
@@ -302,9 +298,9 @@ def _leaves_struct(fix, ctx) -> np.ndarray:
     xiv = ct.xi(ctx).val
     ev = ct.eta(ctx).val
     _, _, A0 = a_tensors(fix, ctx)
-    return np.einsum(
+    return contract(
         "...mi,...ml,...lj,...k->...ikj", A0, ctx.g.val, P.val, xiv
-    ) + np.einsum("...j,...ki->...ikj", ev, P.val @ A0)
+    ) + contract("...j,...ki->...ikj", ev, P.val @ A0)
 
 
 def _leaves_defects(fix, ctx):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry as reg
-from .connections import AffineConnection, MeanConnection, difference_jet
+from .connections import AffineConnection, MeanConnection, _k_val
 from .cosymplectic import a_tensors, gate_almost_cosymplectic
-from .frame import GeometryError, Jet, lie_operator, tr
+from .frame import Jet, contract, lie_operator, tr
 from .structures import almost_cosymplectic_residual, nabla_operator
 
 
@@ -25,21 +25,17 @@ def riemann(ctx, conn: AffineConnection) -> np.ndarray:
     return (
         EG
         - tr(EG, 1, 0, 2, 3)
-        + np.einsum("...jkm,...iml->...ijkl", G, G)
-        - np.einsum("...ikm,...jml->...ijkl", G, G)
-        - np.einsum("...ijm,...mkl->...ijkl", ctx.c.val, G)
+        + contract("...jkm,...iml->...ijkl", G, G)
+        - contract("...ikm,...jml->...ijkl", G, G)
+        - contract("...ijm,...mkl->...ijkl", ctx.c.val, G)
     )
 
 
 def ricci(ctx, conn: AffineConnection) -> np.ndarray:
-    """S[j][k] = trace of Z -> R(Z, E_j)E_k, formed in a g-orthonormal frame
-    obtained by triangular orthonormalization."""
-    R = riemann(ctx, conn)
-    try:
-        b = np.linalg.inv(np.linalg.cholesky(ctx.g.val))
-    except np.linalg.LinAlgError:
-        raise GeometryError("metric is not positive definite; cannot orthonormalize") from None
-    return np.einsum("...ui,...ijkl,...lm,...um->...jk", b, R, ctx.g.val, b)
+    """S[j][k] = trace of Z -> R(Z, E_j)E_k, formed in the context's
+    g-orthonormal frame."""
+    b = ctx.onb
+    return contract("...ui,...ijkl,...lm,...um->...jk", b, riemann(ctx, conn), ctx.g.val, b)
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +47,11 @@ def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
     second gradient."""
     G, dG = ctx.connection_table(conn)
     Ev = ctx.E_jet(v)
-    val = Ev.val + np.einsum("...j,...ijk->...ik", v.val, G)
+    val = Ev.val + contract("...j,...ijk->...ik", v.val, G)
     grad = (
         Ev.grad
-        + np.einsum("...ja,...ijk->...ika", v.grad, G)
-        + np.einsum("...j,...ijka->...ika", v.val, dG)
+        + contract("...ja,...ijk->...ika", v.grad, G)
+        + contract("...j,...ijka->...ika", v.val, dG)
     )
     return Jet(val, grad)
 
@@ -79,9 +75,8 @@ def h_tensors(fix, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _k_xi_op(fix, ctx) -> np.ndarray:
-    xiv = fix.contact.xi(ctx).val
-    K = difference_jet(ctx, fix.nabla, fix.lc).val
-    return tr(np.einsum("...i,...ijk->...jk", xiv, K))
+    """Operator table of K_xi."""
+    return tr(contract("...i,...ijk->...jk", fix.contact.xi(ctx).val, _k_val(fix, ctx)))
 
 
 def _k_xi_phi(fix, ctx) -> np.ndarray:
@@ -97,7 +92,7 @@ def _mean(fix) -> MeanConnection:
 
 def _reeb_op(ctx, R: np.ndarray, xiv: np.ndarray) -> np.ndarray:
     """Operator X -> R(X, xi)xi."""
-    return np.einsum("...ijkl,...j,...k->...li", R, xiv, xiv)
+    return contract("...ijkl,...j,...k->...li", R, xiv, xiv)
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +111,18 @@ def _reeb_comm(fix, ctx, conn_diff, conn_a):
     """(nabla_Y A)X - (nabla_X A)Y for X=E_i, Y=E_j, as [i][j][l]."""
     xi = fix.contact.xi(ctx)
     NA = nabla_operator(ctx, conn_diff, a_jet(ctx, conn_a, xi))
-    return np.einsum("...jli->...ijl", NA) - np.einsum("...ilj->...ijl", NA)
+    return tr(NA, 2, 0, 1) - tr(NA, 0, 2, 1)
 
 
 def _chk_r0(fix, ctx):
     xiv = fix.contact.xi(ctx).val
-    lhs = np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
+    lhs = contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
     return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla, fix.nabla))
 
 
 def _chk_r00(fix, ctx):
     xiv = fix.contact.xi(ctx).val
-    lhs = np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
+    lhs = contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
     return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla_star, fix.nabla_star))
 
 
@@ -136,7 +131,7 @@ def _chk_r03(fix, ctx):
     g = ctx.g.val
     r = 0.0
     for op in (h, hs):
-        L = np.einsum("...mi,...mj->...ij", op, g)
+        L = contract("...mi,...mj->...ij", op, g)
         r = max(r, reg.rel_residual(L, tr(L)))
     return r
 
@@ -162,7 +157,7 @@ def _chk_r06(fix, ctx):
 def _xi_derivative_of_phi(fix, ctx, conn) -> np.ndarray:
     P = fix.contact.phi(ctx)
     xiv = fix.contact.xi(ctx).val
-    return np.einsum("...i,...ikj->...kj", xiv, nabla_operator(ctx, conn, P))
+    return contract("...i,...ikj->...kj", xiv, nabla_operator(ctx, conn, P))
 
 
 def _chk_klm(fix, ctx):
@@ -197,10 +192,10 @@ def _chk_b3(fix, ctx):
     xi = fix.contact.xi(ctx)
     xiv = xi.val
     mean = _mean(fix)
-    lhs = 4.0 * np.einsum("...ijkl,...k->...ijl", riemann(ctx, mean), xiv)
+    lhs = 4.0 * contract("...ijkl,...k->...ijl", riemann(ctx, mean), xiv)
     rhs = (
-        np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
-        + np.einsum("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
+        contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
+        + contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
         + _reeb_comm(fix, ctx, fix.nabla_star, fix.nabla)
         + _reeb_comm(fix, ctx, fix.nabla, fix.nabla_star)
     )
@@ -233,9 +228,9 @@ def _chk_rzz(fix, ctx):
 def _chk_szz(fix, ctx):
     xiv = fix.contact.xi(ctx).val
     A, As, _ = a_tensors(fix, ctx)
-    s = np.einsum("...jk,...j,...k->...", ricci(ctx, fix.nabla), xiv, xiv)
-    ss = np.einsum("...jk,...j,...k->...", ricci(ctx, fix.nabla_star), xiv, xiv)
-    return reg.rel_residual(s + ss, -np.einsum("...ii->...", A @ A + As @ As))
+    s = contract("...jk,...j,...k->...", ricci(ctx, fix.nabla), xiv, xiv)
+    ss = contract("...jk,...j,...k->...", ricci(ctx, fix.nabla_star), xiv, xiv)
+    return reg.rel_residual(s + ss, -np.trace(A @ A + As @ As, axis1=-2, axis2=-1))
 
 
 def gate_reeb_hypotheses(fix, ctxs, tol):
@@ -245,7 +240,7 @@ def gate_reeb_hypotheses(fix, ctxs, tol):
     r = max(
         almost_cosymplectic_residual(fix, ctxs),
         reg.abs_max(_k_xi_phi(fix, ctxs)),
-        reg.abs_max(np.einsum("...ij,...j->...i", A, xiv)),
+        reg.abs_max(contract("...ij,...j->...i", A, xiv)),
     )
     if r <= tol:
         return True, r, None

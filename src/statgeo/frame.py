@@ -9,8 +9,10 @@ never rely on numeric differencing.
 
 Every table of a context built on a batch of P points carries a leading
 point axis, shape (P, ...); a context built on one point has no such axis.
-The functions of the package accept either: their einsum subscripts start
-with `...`, and transposes act on the trailing (tensor) axes only.  Index
+The functions of the package accept either: every contraction goes through
+`contract(spec, *ops)`, whose subscripts name the tensor axes after a
+leading `...` for the point axes (an operand without them is shared by all
+points), and transposes act on the trailing (tensor) axes only.  Index
 conventions, written for the tensor axes:
 
     F[i][a]      E_i = sum_a F[i][a] d/dx^a
@@ -27,6 +29,8 @@ The trailing axis of a gradient array is always the coordinate axis.
 
 from __future__ import annotations
 
+import functools
+import math
 import string
 
 import numpy as np
@@ -46,6 +50,158 @@ def tr(a: np.ndarray, *axes: int) -> np.ndarray:
         return np.swapaxes(a, -1, -2)
     lead = a.ndim - len(axes)
     return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
+
+
+# ---------------------------------------------------------------------------
+# contractions
+
+# distinct (spec, operand shapes) plans kept; a report needs a few hundred
+_PLANS = 2048
+
+
+def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """Einstein summation of two or more arrays, as np.einsum(spec, *ops).
+
+    `spec` is explicit ("...ij,...jk->...ik"); `...` stands for leading axes,
+    which broadcast as in numpy, so an operand without them (or with size-1
+    ones) is shared by every point.  A letter appears at most once per
+    operand, and a letter missing from the output appears in two or more
+    operands (no trace, no sum within one operand).  The first call for a
+    spec and operand shapes compiles a plan of pairwise steps; every call
+    replays it.
+    """
+    return _plan(spec, tuple(op.shape for op in ops))(ops)
+
+
+class _Step:
+    """One pairwise contraction: each operand is transposed to (batch, free,
+    contracted) order and reshaped to 3 axes (2 without batch letters) for
+    one np.matmul."""
+
+    __slots__ = ("perm_a", "shape_a", "perm_b", "shape_b", "shape")
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.perm_a:
+            a = a.transpose(self.perm_a)
+        if self.perm_b:
+            b = b.transpose(self.perm_b)
+        return np.matmul(a.reshape(self.shape_a), b.reshape(self.shape_b)).reshape(self.shape)
+
+
+class _Plan:
+    """Pairwise steps in the np.einsum_path convention (contract positions
+    i < j of the working list, append the result), then the output
+    transpose."""
+
+    __slots__ = ("steps", "perm")
+
+    def __call__(self, ops) -> np.ndarray:
+        work = list(ops)
+        for i, j, step in self.steps:
+            b = work.pop(j)
+            work.append(step(work.pop(i), b))
+        out = work[0]
+        return out.transpose(self.perm) if self.perm else out
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(spec: str, shapes: tuple) -> _Plan:
+    terms, out, size = _letters(spec, shapes)
+    # an axis broadcast from size 1 is no axis of its operand: None
+    work = [[c if d == size[c] else None for c, d in zip(t, shape)]
+            for t, shape in zip(terms, shapes)]
+    plan = _Plan()
+    steps = []
+    for i, j in _pairs(work, out, size):
+        rest = {c for k, w in enumerate(work) if k not in (i, j) for c in w}
+        step, axes = _step(work[i], work[j], rest | set(out), size)
+        steps.append((i, j, step))
+        del work[j], work[i]
+        work.append(axes)
+    plan.steps = tuple(steps)
+    plan.perm = _perm(work[0], list(out))
+    return plan
+
+
+def _letters(spec: str, shapes: tuple) -> tuple[list, str, dict]:
+    """Operand and output subscripts with `...` replaced by fresh letters,
+    right-aligned across operands, and the size of every letter."""
+    if "->" not in spec:
+        raise ValueError(f"contract needs an explicit output in {spec!r}")
+    ins, out = spec.split("->")
+    subs = ins.split(",")
+    if len(subs) != len(shapes) or len(subs) < 2:
+        raise ValueError(f"{spec!r} takes {len(subs)} operands (at least 2), got {len(shapes)}")
+    ranks = []
+    for t, shape in zip(subs, shapes):
+        r = len(shape) - len(t.replace("...", ""))
+        if r < 0 or (r > 0 and "..." not in t):
+            raise ValueError(f"operand {t!r} of {spec!r} does not fit shape {shape}")
+        ranks.append(r)
+    fresh = (c for c in string.ascii_letters if c not in spec)
+    lead = "".join(next(fresh) for _ in range(max(ranks)))
+    terms = [t.replace("...", lead[len(lead) - r:]) for t, r in zip(subs, ranks)]
+    size: dict[str, int] = {}
+    for t, shape in zip(terms, shapes):
+        if len(set(t)) != len(t):
+            raise ValueError(f"repeated subscript in operand {t!r} of {spec!r}")
+        for c, d in zip(t, shape):
+            known = size.setdefault(c, d)
+            if known != d and not (c in lead and 1 in (known, d)):
+                raise ValueError(f"{spec!r}: axis {c!r} has sizes {known} and {d}")
+            size[c] = max(known, d)
+    out = out.replace("...", lead)
+    for c in size:
+        if c not in out and sum(c in t for t in terms) < 2:
+            raise ValueError(f"{spec!r} sums {c!r} within one operand")
+    return terms, out, size
+
+
+def _pairs(work: list, out: str, size: dict) -> list[tuple[int, int]]:
+    """Contraction order: np.einsum_path's, with a step of k > 2 operands
+    (it leaves those to einsum) split into k - 1 pairs."""
+    if len(work) == 2:
+        return [(0, 1)]
+    dummies = [np.broadcast_to(0.0, [size[c] for c in w if c]) for w in work]
+    clean = ",".join("".join(c for c in w if c) for w in work) + "->" + out
+    pairs, count = [], len(work)
+    for pos in np.einsum_path(clean, *dummies, optimize="optimal")[0][1:]:
+        pos = sorted(pos)
+        pairs.append((pos[0], pos[1]))
+        count -= 1
+        for k, p in enumerate(pos[2:]):
+            pairs.append((p - 2 - k, count - 1))
+            count -= 1
+    return pairs
+
+
+def _step(la: list, lb: list, keep: set, size: dict) -> tuple[_Step, list]:
+    """The step contracting operands with axis letters la and lb, where keep
+    holds the letters needed later; returns it and its result's letters."""
+    na, nb = set(la) - {None}, set(lb) - {None}
+    batch = [c for c in la if c in nb and c in keep]
+    con = [c for c in la if c in nb and c not in keep]
+    m = [c for c in la if c in na - nb]
+    n = [c for c in lb if c in nb - na]
+
+    def dims(letters):
+        return math.prod(size[c] for c in letters)
+
+    step = _Step()
+    step.perm_a = _perm(la, batch + m + con)
+    step.perm_b = _perm(lb, batch + con + n)
+    B = (dims(batch),) if batch else ()
+    step.shape_a = B + (dims(m), dims(con))
+    step.shape_b = B + (dims(con), dims(n))
+    step.shape = tuple(size[c] for c in batch + m + n)
+    return step, batch + m + n
+
+
+def _perm(axes: list, order: list) -> tuple | None:
+    """Transpose taking axes (None for a size-1 axis) to the given letter
+    order, size-1 axes first; None when it is the identity."""
+    p = [k for k, c in enumerate(axes) if c is None] + [axes.index(c) for c in order]
+    return None if p == sorted(p) else tuple(p)
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +247,30 @@ def jet_einsum(spec: str, *ops) -> Jet:
     gradient gets a fresh trailing subscript appended to each Jet operand in
     turn, so every subscript of `spec` must start with `...`.
     """
+    vals = [op.val if isinstance(op, Jet) else np.asarray(op, float) for op in ops]
+    grad = None
+    for p, spec_p in _grad_specs(spec, tuple(isinstance(op, Jet) for op in ops)):
+        args = [op.grad if q == p else vals[q] for q, op in enumerate(ops)]
+        term = contract(spec_p, *args)
+        grad = term if grad is None else grad + term
+    return Jet(contract(spec, *vals), grad)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _grad_specs(spec: str, jets: tuple) -> tuple[tuple[int, str], ...]:
+    """(p, spec with a gradient subscript on operand p) for each Jet operand p."""
     ins, out = spec.split("->")
     subs = ins.split(",")
-    vals = [op.val if isinstance(op, Jet) else np.asarray(op, float) for op in ops]
-    res_val = np.einsum(spec, *vals)
     gch = next(ch for ch in string.ascii_letters if ch not in spec)
-    grad = None
-    for p, op in enumerate(ops):
-        if not isinstance(op, Jet):
-            continue
-        parts = list(subs)
-        parts[p] = subs[p] + gch
-        spec_p = ",".join(parts) + "->" + out + gch
-        args = [op.grad if q == p else vals[q] for q, op in enumerate(ops)]
-        term = np.einsum(spec_p, *args)
-        grad = term if grad is None else grad + term
-    if grad is None:
+    specs = []
+    for p, is_jet in enumerate(jets):
+        if is_jet:
+            parts = list(subs)
+            parts[p] += gch
+            specs.append((p, ",".join(parts) + "->" + out + gch))
+    if not specs:
         raise ValueError("jet_einsum needs at least one Jet operand")
-    return Jet(res_val, grad)
+    return tuple(specs)
 
 
 def jet_matinv(m: Jet, what: str, x: np.ndarray) -> Jet:
@@ -126,7 +288,7 @@ def jet_matinv(m: Jet, what: str, x: np.ndarray) -> Jet:
             f"{what} at {_at(x, i)} is singular (det = {np.ravel(det)[i]:.3e})"
         )
     inv = np.linalg.inv(m.val)
-    grad = -np.einsum("...ab,...bcg,...cd->...adg", inv, m.grad, inv)
+    grad = -contract("...ab,...bcg,...cd->...adg", inv, m.grad, inv)
     return Jet(inv, grad)
 
 
@@ -256,6 +418,7 @@ class PointContext:
             where = _at(self.x, int(np.argmax(bad)))
             raise GeometryError(f"metric is not symmetric at {where}")
         self.ginv = jet_matinv(self.g, "metric", self.x)
+        self.onb = _orthonormalizer(g, self.x)
 
         # structure coefficients from the frame's coordinate expansion
         EF = self.E_jet(self.F)  # EF[i][j][a] = E_i(F[j][a])
@@ -288,7 +451,7 @@ class PointContext:
     def E(self, jet: Jet) -> np.ndarray:
         """E(T)[i, ...] = E_i applied entrywise: F[i][a] dT[..., a]."""
         g, T = self._flat(jet.grad, 1)
-        out = np.einsum("...ia,...ta->...it", self.F.val, g)
+        out = contract("...ia,...ta->...it", self.F.val, g)
         return out.reshape(self.lead + (self.dim,) + T)
 
     # frame derivative with gradient; needs the operand's second gradient
@@ -297,7 +460,7 @@ class PointContext:
             raise ValueError("E_jet needs a jet with a second gradient")
         g, T = self._flat(jet.grad, 1)
         g2, _ = self._flat(jet.grad2, 2)
-        grad = np.einsum("...iac,...ta->...itc", self.F.grad, g) + np.einsum(
+        grad = contract("...iac,...ta->...itc", self.F.grad, g) + contract(
             "...ia,...tac->...itc", self.F.val, g2
         )
         shape = self.lead + (self.dim,) + T + grad.shape[-1:]
@@ -326,6 +489,19 @@ class PointContext:
         return hit[1]
 
 
+def _orthonormalizer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b = L^-1 for the Cholesky factor g = L L^T: the rows of b are the
+    frame components of a g-orthonormal frame.  Names the first point where
+    g is not positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(g)[..., 0]
+        bad = ~(low > 0)
+        i = int(np.argmax(bad)) if np.any(bad) else int(np.argmin(low))
+        raise GeometryError(f"metric is not positive definite at {_at(x, i)}") from None
+
+
 def _fmt_point(x: np.ndarray) -> str:
     return "(" + ", ".join(f"{v:.4g}" for v in x) + ")"
 
@@ -347,11 +523,6 @@ def frame_field(ctx: PointContext, j: int) -> Jet:
     return Jet(v, np.zeros(ctx.lead + (ctx.dim, ctx.dim)))
 
 
-def const_field(ctx: PointContext, comps) -> Jet:
-    v = np.broadcast_to(np.asarray(comps, float), ctx.lead + (ctx.dim,))
-    return Jet(v, np.zeros(ctx.lead + (ctx.dim, ctx.dim)))
-
-
 def operator_column(P: Jet, j: int) -> Jet:
     """The vector field P(E_j) as a jet."""
     return Jet(P.val[..., :, j], P.grad[..., :, j, :])
@@ -362,16 +533,16 @@ def bracket(ctx: PointContext, V: Jet, W: Jet) -> np.ndarray:
     Ev = ctx.E(V)  # Ev[i][k] = E_i(v^k)
     Ew = ctx.E(W)
     return (
-        np.einsum("...i,...j,...ijk->...k", V.val, W.val, ctx.c.val)
-        + np.einsum("...i,...ik->...k", V.val, Ew)
-        - np.einsum("...j,...jk->...k", W.val, Ev)
+        contract("...i,...j,...ijk->...k", V.val, W.val, ctx.c.val)
+        + contract("...i,...ik->...k", V.val, Ew)
+        - contract("...j,...jk->...k", W.val, Ev)
     )
 
 
 def brackets_with_frame(ctx: PointContext, V: Jet) -> np.ndarray:
     """B[j][k] = frame components of [V, E_j]."""
     Ev = ctx.E(V)
-    return np.einsum("...i,...ijk->...jk", V.val, ctx.c.val) - tr(Ev)
+    return contract("...i,...ijk->...jk", V.val, ctx.c.val) - tr(Ev)
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +552,15 @@ def brackets_with_frame(ctx: PointContext, V: Jet) -> np.ndarray:
 def lie_metric(ctx: PointContext, V: Jet) -> np.ndarray:
     """(L_V g)(E_i, E_j) = V(g_ij) - g([V,E_i],E_j) - g(E_i,[V,E_j])."""
     B = brackets_with_frame(ctx, V)
-    vg = np.einsum("...k,...kij->...ij", V.val, ctx.Eg.val)
-    t = np.einsum("...ik,...kj->...ij", B, ctx.g.val)
+    vg = contract("...k,...kij->...ij", V.val, ctx.Eg.val)
+    t = contract("...ik,...kj->...ij", B, ctx.g.val)
     return vg - t - tr(t)
 
 
 def lie_covector(ctx: PointContext, V: Jet, w: Jet) -> np.ndarray:
     """(L_V w)(E_j) = V(w(E_j)) - w([V, E_j])."""
     B = brackets_with_frame(ctx, V)
-    return np.einsum("...k,...kj->...j", V.val, ctx.E(w)) - np.einsum(
+    return contract("...k,...kj->...j", V.val, ctx.E(w)) - contract(
         "...jm,...m->...j", B, w.val
     )
 
@@ -399,7 +570,7 @@ def lie_operator(ctx: PointContext, V: Jet, P: Jet) -> np.ndarray:
     B = brackets_with_frame(ctx, V)
     out = np.empty(ctx.lead + (ctx.dim, ctx.dim))
     for j in range(ctx.dim):
-        out[..., :, j] = bracket(ctx, V, operator_column(P, j)) - np.einsum(
+        out[..., :, j] = bracket(ctx, V, operator_column(P, j)) - contract(
             "...km,...m->...k", P.val, B[..., j, :]
         )
     return out
@@ -412,13 +583,7 @@ def lie_operator(ctx: PointContext, V: Jet, P: Jet) -> np.ndarray:
 def ext_d1(ctx: PointContext, w: Jet) -> np.ndarray:
     """dw[i][j] for a 1-form jet: (1/2)(E_i w_j - E_j w_i - c[i][j][m] w_m)."""
     Ew = ctx.E(w)
-    return 0.5 * (Ew - tr(Ew) - np.einsum("...ijm,...m->...ij", ctx.c.val, w.val))
-
-
-def ext_d1_jet(ctx: PointContext, w: Jet) -> Jet:
-    """Like ext_d1 but propagating gradients; needs w.grad2."""
-    Ew = ctx.E_jet(w)
-    return 0.5 * (Ew - Ew.t(1, 0) - jet_einsum("...ijm,...m->...ij", ctx.c, w))
+    return 0.5 * (Ew - tr(Ew) - contract("...ijm,...m->...ij", ctx.c.val, w.val))
 
 
 def ext_d2(ctx: PointContext, W: Jet) -> np.ndarray:
@@ -429,17 +594,21 @@ def ext_d2(ctx: PointContext, W: Jet) -> np.ndarray:
         EW
         - tr(EW, 1, 0, 2)
         + tr(EW, 1, 2, 0)
-        - np.einsum("...ijm,...mk->...ijk", cv, Wv)
-        + np.einsum("...ikm,...mj->...ijk", cv, Wv)
-        - np.einsum("...jkm,...mi->...ijk", cv, Wv)
+        - contract("...ijm,...mk->...ijk", cv, Wv)
+        + contract("...ikm,...mj->...ijk", cv, Wv)
+        - contract("...jkm,...mi->...ijk", cv, Wv)
     )
     return out / 3.0
 
 
+def cyclic(T: np.ndarray) -> np.ndarray:
+    """Cyclic sum T[i][j][k] + T[j][k][i] + T[k][i][j] of a 3-tensor."""
+    return T + tr(T, 1, 2, 0) + tr(T, 2, 0, 1)
+
+
 def wedge_1_2(w: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(w ^ W)[i][j][k] = (1/3)(w_i W_jk + w_j W_ki + w_k W_ij)."""
-    t = np.einsum("...i,...jk->...ijk", w, W)
-    return (t + tr(t, 1, 2, 0) + tr(t, 2, 0, 1)) / 3.0
+    return cyclic(contract("...i,...jk->...ijk", w, W)) / 3.0
 
 
 # ---------------------------------------------------------------------------

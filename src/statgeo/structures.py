@@ -13,13 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import registry as reg
-from .connections import AffineConnection, difference_jet
+from .connections import AffineConnection, _k_val
 from .frame import (
     ExprTable,
     GeometryError,
     Jet,
     PointContext,
     bracket,
+    contract,
+    cyclic,
     ext_d1,
     ext_d2,
     frame_field,
@@ -83,21 +85,21 @@ def nabla_operator(ctx, conn: AffineConnection, P: Jet) -> np.ndarray:
     G = conn.jet(ctx).val
     return (
         ctx.E(P)
-        + np.einsum("...mj,...imk->...ikj", P.val, G)
-        - np.einsum("...ijm,...km->...ikj", G, P.val)
+        + contract("...mj,...imk->...ikj", P.val, G)
+        - contract("...ijm,...km->...ikj", G, P.val)
     )
 
 
 def nabla_vector(ctx, conn: AffineConnection, v: Jet) -> np.ndarray:
     """NV[i][k]: E_k-component of nabla_{E_i} V."""
     G = conn.jet(ctx).val
-    return ctx.E(v) + np.einsum("...j,...ijk->...ik", v.val, G)
+    return ctx.E(v) + contract("...j,...ijk->...ik", v.val, G)
 
 
 def nabla_covector(ctx, conn: AffineConnection, w: Jet) -> np.ndarray:
     """NW[i][j] = (nabla_{E_i} w)(E_j)."""
     G = conn.jet(ctx).val
-    return ctx.E(w) - np.einsum("...ijm,...m->...ij", G, w.val)
+    return ctx.E(w) - contract("...ijm,...m->...ij", G, w.val)
 
 
 def nabla_2form(ctx, conn: AffineConnection, W: Jet) -> np.ndarray:
@@ -105,43 +107,43 @@ def nabla_2form(ctx, conn: AffineConnection, W: Jet) -> np.ndarray:
     G = conn.jet(ctx).val
     return (
         ctx.E(W)
-        - np.einsum("...ijm,...mk->...ijk", G, W.val)
-        - np.einsum("...ikm,...jm->...ijk", G, W.val)
+        - contract("...ijm,...mk->...ijk", G, W.val)
+        - contract("...ikm,...jm->...ijk", G, W.val)
     )
 
 
 def op_commutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
     """(K_X P) as [i][k][j]: K_{E_i}(P E_j) - P(K_{E_i} E_j)."""
-    return np.einsum("...mj,...imk->...ikj", Pv, K) - np.einsum(
+    return contract("...mj,...imk->...ikj", Pv, K) - contract(
         "...ijm,...km->...ikj", K, Pv
     )
 
 
 def op_anticommutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
     """[i][k][j]: K_{E_i}(P E_j) + P(K_{E_i} E_j)."""
-    return np.einsum("...mj,...imk->...ikj", Pv, K) + np.einsum(
+    return contract("...mj,...imk->...ikj", Pv, K) + contract(
         "...ijm,...km->...ikj", K, Pv
     )
 
 
 def op_lower(ctx, NP: np.ndarray) -> np.ndarray:
     """T[i][j][k] = g((...)E_j, E_k) for an [i][k][j] operator family."""
-    return np.einsum("...imj,...mk->...ijk", NP, ctx.g.val)
+    return contract("...imj,...mk->...ijk", NP, ctx.g.val)
 
 
 def nijenhuis(ctx: PointContext, P: Jet) -> np.ndarray:
     """N[i][j][k]: E_k-component of
     P^2 [E_i,E_j] + [P E_i, P E_j] - P [P E_i, E_j] - P [E_i, P E_j]."""
     n = ctx.dim
-    out = np.einsum("...ijm,...km->...ijk", ctx.c.val, P.val @ P.val)
+    out = contract("...ijm,...km->...ijk", ctx.c.val, P.val @ P.val)
     cols = [operator_column(P, j) for j in range(n)]
     frames = [frame_field(ctx, j) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = (
                 bracket(ctx, cols[i], cols[j])
-                - np.einsum("...km,...m->...k", P.val, bracket(ctx, cols[i], frames[j]))
-                - np.einsum("...km,...m->...k", P.val, bracket(ctx, frames[i], cols[j]))
+                - contract("...km,...m->...k", P.val, bracket(ctx, cols[i], frames[j]))
+                - contract("...km,...m->...k", P.val, bracket(ctx, frames[i], cols[j]))
             )
             out[..., i, j, :] += v
             out[..., j, i, :] -= v
@@ -153,7 +155,7 @@ def n1_tensor(ctx: PointContext, contact: AlmostContactStructure) -> np.ndarray:
     P = contact.phi(ctx)
     xi = contact.xi(ctx)
     deta = ext_d1(ctx, contact.eta(ctx))
-    return nijenhuis(ctx, P) + 2.0 * np.einsum("...ij,...k->...ijk", deta, xi.val)
+    return nijenhuis(ctx, P) + 2.0 * contract("...ij,...k->...ijk", deta, xi.val)
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +224,37 @@ def almost_cosymplectic_residual(fix, ctxs) -> float:
 def _chk_phi_sq(fix, ctx):
     ct = fix.contact
     P = ct.phi(ctx).val
-    rhs = -np.eye(ctx.dim) + np.einsum("...i,...j->...ij", ct.xi(ctx).val, ct.eta(ctx).val)
+    rhs = -np.eye(ctx.dim) + contract("...i,...j->...ij", ct.xi(ctx).val, ct.eta(ctx).val)
     return reg.rel_residual(P @ P, rhs)
 
 
 def _chk_eta_xi(fix, ctx):
     ct = fix.contact
-    return reg.abs_max(np.einsum("...i,...i->...", ct.eta(ctx).val, ct.xi(ctx).val) - 1.0)
+    return reg.abs_max(contract("...i,...i->...", ct.eta(ctx).val, ct.xi(ctx).val) - 1.0)
 
 
 def _chk_compat(fix, ctx):
     ct = fix.contact
     P = ct.phi(ctx).val
     eta = ct.eta(ctx).val
-    lhs = np.einsum("...ki,...km,...mj->...ij", P, ctx.g.val, P)
-    return reg.rel_residual(lhs, ctx.g.val - np.einsum("...i,...j->...ij", eta, eta))
+    lhs = contract("...ki,...km,...mj->...ij", P, ctx.g.val, P)
+    return reg.rel_residual(lhs, ctx.g.val - contract("...i,...j->...ij", eta, eta))
 
 
 def _chk_eta_metric(fix, ctx):
     ct = fix.contact
-    xi_low = np.einsum("...i,...ij->...j", ct.xi(ctx).val, ctx.g.val)
+    xi_low = contract("...i,...ij->...j", ct.xi(ctx).val, ctx.g.val)
     return reg.rel_residual(ct.eta(ctx).val, xi_low)
 
 
 def _chk_phi_xi(fix, ctx):
     ct = fix.contact
-    return reg.abs_max(np.einsum("...ij,...j->...i", ct.phi(ctx).val, ct.xi(ctx).val))
+    return reg.abs_max(contract("...ij,...j->...i", ct.phi(ctx).val, ct.xi(ctx).val))
 
 
 def _chk_eta_phi(fix, ctx):
     ct = fix.contact
-    return reg.abs_max(np.einsum("...i,...ij->...j", ct.eta(ctx).val, ct.phi(ctx).val))
+    return reg.abs_max(contract("...i,...ij->...j", ct.eta(ctx).val, ct.phi(ctx).val))
 
 
 def _chk_j_sq(fix, ctx):
@@ -262,7 +264,7 @@ def _chk_j_sq(fix, ctx):
 
 def _chk_j_skew(fix, ctx):
     J = fix.hermitian.J(ctx).val
-    Om = np.einsum("...ki,...kj->...ij", J, ctx.g.val)
+    Om = contract("...ki,...kj->...ij", J, ctx.g.val)
     return reg.abs_max(Om + tr(Om))
 
 
@@ -287,10 +289,6 @@ for _name, _fn in [
 # shared pieces for the identity suites
 
 
-def _k_val(fix, ctx) -> np.ndarray:
-    return difference_jet(ctx, fix.nabla, fix.lc).val
-
-
 def _herm_parts(fix, ctx):
     J = fix.hermitian.J(ctx)
     K = _k_val(fix, ctx)
@@ -303,9 +301,9 @@ def _gray_rhs_hermitian(fix, ctx, J: Jet) -> np.ndarray:
     Jv = J.val
     Omega = fundamental_form(ctx, J)
     dOm = ext_d2(ctx, Omega)
-    dOmJJ = np.einsum("...iml,...mj,...lk->...ijk", dOm, Jv, Jv)
+    dOmJJ = contract("...iml,...mj,...lk->...ijk", dOm, Jv, Jv)
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
     return 3.0 * (dOm - dOmJJ) + NJX
 
 
@@ -314,7 +312,7 @@ def _chk_aziz1(fix, ctx):
     NJ = nabla_operator(ctx, fix.nabla, J)
     NJs = nabla_operator(ctx, fix.nabla_star, J)
     lhs = op_lower(ctx, NJ)
-    rhs = -np.einsum("...imk,...mj->...ijk", NJs, ctx.g.val)
+    rhs = -contract("...imk,...mj->...ijk", NJs, ctx.g.val)
     return reg.rel_residual(lhs, rhs)
 
 
@@ -334,12 +332,12 @@ def _chk_aziz3(fix, ctx):
 
 def _kj_lowered(ctx, K, Jv):
     """T[i][j][k] = g(K_{E_i}(J E_j), E_k)."""
-    return np.einsum("...mj,...iml,...lk->...ijk", Jv, K, ctx.g.val)
+    return contract("...mj,...iml,...lk->...ijk", Jv, K, ctx.g.val)
 
 
 def _jk_lowered(ctx, K, Jv):
     """T[i][j][k] = g(J(K_{E_i} E_j), E_k)."""
-    return np.einsum("...ijm,...lm,...lk->...ijk", K, Jv, ctx.g.val)
+    return contract("...ijm,...lm,...lk->...ijk", K, Jv, ctx.g.val)
 
 
 def _chk_aziz4(fix, ctx):
@@ -377,7 +375,7 @@ def _chk_aziz5b(fix, ctx):
 def _chk_cyclic86(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
-    return reg.abs_max(_cyclic_sum(S))
+    return reg.abs_max(cyclic(S))
 
 
 def _chk_aziz6(fix, ctx):
@@ -398,7 +396,7 @@ def _chk_aziz8(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     Jv = J.val
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
     lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla, J))
     rhs = 2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
     return reg.rel_residual(lhs, rhs)
@@ -408,26 +406,22 @@ def _chk_aziz9(fix, ctx):
     J, K = _herm_parts(fix, ctx)
     Jv = J.val
     N = nijenhuis(ctx, J)
-    NJX = np.einsum("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
     lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla_star, J))
     rhs = -2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
     return reg.rel_residual(lhs, rhs)
 
 
-def _cyclic_sum(T: np.ndarray) -> np.ndarray:
-    return T + tr(T, 1, 2, 0) + tr(T, 2, 0, 1)
-
-
 def _chk_aziz81(fix, ctx):
     J = fix.hermitian.J(ctx)
     NOm = nabla_2form(ctx, fix.nabla, fundamental_form(ctx, J))
-    return reg.abs_max(_cyclic_sum(NOm))
+    return reg.abs_max(cyclic(NOm))
 
 
 def _chk_aziz82(fix, ctx):
     J = fix.hermitian.J(ctx)
     NOms = nabla_2form(ctx, fix.nabla_star, fundamental_form(ctx, J))
-    return reg.abs_max(_cyclic_sum(NOms))
+    return reg.abs_max(cyclic(NOms))
 
 
 def _chk_aziz10(fix, ctx):
@@ -548,7 +542,7 @@ def _chk_aa3(fix, ctx):
     NP = nabla_operator(ctx, fix.nabla, P)
     NPs = nabla_operator(ctx, fix.nabla_star, P)
     lhs = op_lower(ctx, NP)
-    rhs = -np.einsum("...imk,...mj->...ijk", NPs, ctx.g.val)
+    rhs = -contract("...imk,...mj->...ijk", NPs, ctx.g.val)
     return reg.rel_residual(lhs, rhs)
 
 
@@ -617,9 +611,9 @@ def _gray_rhs_contact(fix, ctx) -> np.ndarray:
     ev = eta.val
     Phi = fundamental_form(ctx, P)
     dPhi = ext_d2(ctx, Phi)
-    dPhiPP = np.einsum("...iml,...mj,...lk->...ijk", dPhi, Pv, Pv)
+    dPhiPP = contract("...iml,...mj,...lk->...ijk", dPhi, Pv, Pv)
     N1 = n1_tensor(ctx, ct)
-    N1PX = np.einsum("...jkm,...li,...ml->...ijk", N1, Pv, ctx.g.val)
+    N1PX = contract("...jkm,...li,...ml->...ijk", N1, Pv, ctx.g.val)
     # N2[j][k] = (L_{phi E_j} eta)(E_k) - (L_{phi E_k} eta)(E_j)
     M = np.stack(
         [lie_covector(ctx, operator_column(P, j), eta) for j in range(ctx.dim)],
@@ -627,13 +621,13 @@ def _gray_rhs_contact(fix, ctx) -> np.ndarray:
     )
     N2 = M - tr(M)
     deta = ext_d1(ctx, eta)
-    dEtaP = np.einsum("...mi,...mj->...ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
+    dEtaP = contract("...mi,...mj->...ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
     rhs = (
         3.0 * (dPhi - dPhiPP)
         + N1PX
-        + np.einsum("...jk,...i->...ijk", N2, ev)
-        + 2.0 * np.einsum("...ij,...k->...ijk", dEtaP, ev)
-        - 2.0 * np.einsum("...ik,...j->...ijk", dEtaP, ev)
+        + contract("...jk,...i->...ijk", N2, ev)
+        + 2.0 * contract("...ij,...k->...ijk", dEtaP, ev)
+        - 2.0 * contract("...ik,...j->...ijk", dEtaP, ev)
     )
     return rhs
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from statgeo import expr as ex
 from statgeo import registry as reg
-from statgeo.frame import Jet
+from statgeo.frame import Jet, PointContext, jet_einsum
 from statgeo.structures import nabla_operator, nabla_vector
 
 
@@ -59,6 +59,19 @@ def fd_partial(e: ex.Expr, env: dict[str, float], var: str, h: float = 1e-5) -> 
     hi[var] = env[var] + step
     lo[var] = env[var] - step
     return (ex.eval_expr(e, hi) - ex.eval_expr(e, lo)) / (2.0 * step)
+
+
+def const_field(ctx: PointContext, comps) -> Jet:
+    """The vector field with constant frame components comps."""
+    v = np.broadcast_to(np.asarray(comps, float), ctx.lead + (ctx.dim,))
+    return Jet(v, np.zeros(ctx.lead + (ctx.dim, ctx.dim)))
+
+
+def ext_d1_jet(ctx: PointContext, w: Jet) -> Jet:
+    """statgeo.frame.ext_d1 propagating gradients, so that d(dw) can be
+    formed; needs w.grad2."""
+    Ew = ctx.E_jet(w)
+    return 0.5 * (Ew - Ew.t(1, 0) - jet_einsum("...ijm,...m->...ij", ctx.c, w))
 
 
 def nabla_operator_columns(ctx, conn, P: Jet) -> np.ndarray:

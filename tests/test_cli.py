@@ -401,3 +401,66 @@ def test_tiny_well_conditioned_metric_is_accepted(capsys, tmp_path):
     code, rep, err = run_json(capsys, "check", write_spec(tmp_path, doc))
     assert code == 0 and err == ""
     assert rep["summary"]["fail"] == 0 and rep["summary"]["pass"] > 0
+
+
+FLAT_KAEHLER_2D = {
+    **FLAT_2D,
+    "structure": {"phi": [["0", "-1"], ["1", "0"]]},
+}
+
+
+@pytest.mark.parametrize("value", ["no", "true", 1, 0, None, [True]])
+def test_flags_must_be_booleans(capsys, tmp_path, value):
+    # a string flag used to read as true and grade the Kaehler-gated checks
+    doc = {**FLAT_KAEHLER_2D, "flags": {"kaehler": value}}
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "flags.kaehler must be true or false" in err
+
+
+@pytest.mark.parametrize("value,status", [(True, "pass"), (False, "hypothesis-unmet")])
+def test_boolean_flags_gate_the_kaehler_checks(capsys, tmp_path, value, status):
+    doc = {**FLAT_KAEHLER_2D, "flags": {"kaehler": value}}
+    code, rep, _ = run_json(capsys, "check", write_spec(tmp_path, doc), "--points", "4")
+    assert code == 0
+    statuses = {c["name"]: c["status"] for c in rep["checks"]}
+    assert statuses["HERM-AZIZ10"] == statuses["HOLO-EQUIV"] == status
+
+
+CANONICAL_CONTACT = {
+    "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+    "xi": ["1", "0", "0"],
+    "eta": ["1", "0", "0"],
+}
+
+
+def test_indefinite_metric_exits_2_naming_the_point(capsys, tmp_path):
+    doc = {
+        "dim": 3,
+        "coords": ["t", "x", "y"],
+        "frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "metric": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+        "structure": CANONICAL_CONTACT,
+    }
+    pts = sample_points(3, [(-1.0, 1.0)] * 3, 20, 42)
+    where = "(" + ", ".join(f"{v:.4g}" for v in pts[0]) + ")"
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == f"error: metric is not positive definite at sample point 0 {where}\n"
+
+
+def test_metric_definiteness_is_judged_per_point(capsys, tmp_path):
+    doc = {
+        "dim": 3,
+        "coords": ["t", "x", "y"],
+        "frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "metric": [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "1"]],
+    }
+    pts = sample_points(3, [(-1.0, 1.0)] * 3, 20, 42)
+    i = next(k for k, p in enumerate(pts) if p[0] < 0)
+    assert i > 0  # the message must locate the point, not default to the first
+    where = "(" + ", ".join(f"{v:.4g}" for v in pts[i]) + ")"
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err == f"error: metric is not positive definite at sample point {i} {where}\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import const_field, ext_d1_jet
 from statgeo import expr as ex
 from statgeo.frame import (
     ExprTable,
@@ -8,9 +9,7 @@ from statgeo.frame import (
     Jet,
     Manifold,
     bracket,
-    const_field,
     ext_d1,
-    ext_d1_jet,
     ext_d2,
     frame_field,
     jet_einsum,
