@@ -25,7 +25,7 @@ from .connections import (
     Conjugate,
     ExprConnection,
     LeviCivita,
-    difference_jet,
+    _k_val,
     random_statistical,
 )
 from .cosymplectic import BUILTIN_NAMES, a_tensors, builtin_fixture, product_construct
@@ -52,7 +52,7 @@ def _require(doc: dict, field: str, kind, where: str):
     if field not in doc:
         raise InputError(f"{where}: missing required field {field!r}")
     v = doc[field]
-    if not isinstance(v, kind):
+    if not isinstance(v, kind) or isinstance(v, bool):
         raise InputError(f"{where}: field {field!r} must be {kind.__name__}")
     return v
 
@@ -80,8 +80,11 @@ def fixture_from_doc(doc: dict, name: str) -> tuple[Fixture, dict]:
     if unknown:
         raise InputError(f"{name}: unknown connections fields {sorted(unknown)}")
     seed_k = conn_doc.get("random_K_seed")
-    if seed_k is not None and not isinstance(seed_k, int):
-        raise InputError(f"{name}: random_K_seed must be an integer")
+    if seed_k is not None and (isinstance(seed_k, bool) or not isinstance(seed_k, int)
+                               or seed_k < 0):
+        raise InputError(
+            f"{name}: random_K_seed must be a non-negative integer, got {json.dumps(seed_k)}"
+        )
     try:
         if "nabla" in conn_doc:
             if seed_k is not None:
@@ -305,7 +308,7 @@ def cmd_table(args) -> int:
         elif which == "levi-civita":
             G, label = fix.lc.jet(ctx).val, "nabla0_{E_%d} E_%d"
         else:
-            G, label = difference_jet(ctx, fix.nabla, fix.lc).val, "K_{E_%d} E_%d"
+            G, label = _k_val(fix, ctx), "K_{E_%d} E_%d"
         for i in range(ctx.dim):
             for j in range(ctx.dim):
                 lines.append(f"{label % (i, j)} = {_combo(G[i][j])}")

@@ -44,8 +44,9 @@ class ExprConnection(AffineConnection):
     def __init__(self, cells, coords):
         self._table = ExprTable(cells, coords)
         s = self._table.shape
-        if len(s) != 3 or len(set(s)) != 1:
-            raise GeometryError(f"connection table must be cubical, got shape {s}")
+        n = len(coords)
+        if s != (n, n, n):
+            raise GeometryError(f"connection table must be cubical with side {n}, got shape {s}")
 
     @property
     def exprs(self):
@@ -57,7 +58,16 @@ class ExprConnection(AffineConnection):
 
 
 class LeviCivita(AffineConnection):
-    """Metric connection of the context metric, via the Koszul formula."""
+    """Metric connection of the context metric, via the Koszul formula.
+
+    The table depends on the context alone, so all instances compare equal
+    and share one cache entry per context."""
+
+    def __eq__(self, other):
+        return type(other) is LeviCivita
+
+    def __hash__(self):
+        return hash(LeviCivita)
 
     def table(self, ctx):
         Eg, c, g = ctx.Eg, ctx.c, ctx.g
@@ -82,6 +92,13 @@ class Conjugate(AffineConnection):
         low = ctx.Eg - jet_einsum("...ikm,...mj->...ijk", Gb, ctx.g)
         G = jet_einsum("...ijk,...kl->...ijl", low, ctx.ginv)
         return G.val, G.grad
+
+
+def _conjugate_val(ctx: PointContext, G: np.ndarray) -> np.ndarray:
+    """Values of the conjugate of a connection with value table G; the same
+    contractions as Conjugate.table, without gradients."""
+    low = ctx.Eg.val - contract("...ikm,...mj->...ijk", G, ctx.g.val)
+    return contract("...ijk,...kl->...ijl", low, ctx.ginv.val)
 
 
 class SymmetricCubic:
@@ -128,6 +145,13 @@ class MeanConnection(AffineConnection):
         self.a = a
         self.b = b
 
+    # the mean of one pair is one connection, however often it is built
+    def __eq__(self, other):
+        return type(other) is MeanConnection and (other.a, other.b) == (self.a, self.b)
+
+    def __hash__(self):
+        return hash((MeanConnection, self.a, self.b))
+
     def table(self, ctx):
         Ga, dGa = ctx.connection_table(self.a)
         Gb, dGb = ctx.connection_table(self.b)
@@ -154,7 +178,8 @@ class ProductConnection(AffineConnection):
         nb = self.base_manifold.dim
         if n != nb + 1:
             raise GeometryError("product connection used on a non-product context")
-        bctx = _base_context(ctx, self.base_manifold)
+        # stored on the product context, so both halves of a pair share it
+        bctx = ctx.derived(_base_context, self.base_manifold)
         Gb, dGb = bctx.connection_table(self.base_conn)
         lam = ctx.table_jet(self.lam)  # an expression in t, the first coordinate
         G = np.zeros(ctx.lead + (n, n, n))
@@ -167,12 +192,7 @@ class ProductConnection(AffineConnection):
 
 
 def _base_context(ctx: PointContext, base: Manifold) -> PointContext:
-    # cached on the product context so both halves of a pair share it
-    cache = ctx.__dict__.setdefault("_base_ctxs", {})
-    key = id(base)
-    if key not in cache:
-        cache[key] = base.context(ctx.x[..., 1:])
-    return cache[key]
+    return base.context(ctx.x[..., 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +264,7 @@ def check_dualistic(manifold: Manifold, nabla: AffineConnection,
 
 def _k_val(fix, ctx) -> np.ndarray:
     """The fixture's difference tensor K = nabla - nabla0, values only."""
-    return difference_jet(ctx, fix.nabla, fix.lc).val
+    return ctx.connection_table(fix.nabla)[0] - ctx.connection_table(fix.lc)[0]
 
 
 def _chk_stat1(fix, ctx):
@@ -306,8 +326,9 @@ def _chk_k5(fix, ctx):
 
 
 def _chk_conj_invol(fix, ctx):
-    back = Conjugate(Conjugate(fix.nabla))
-    return reg.rel_residual(back.jet(ctx).val, fix.nabla.jet(ctx).val)
+    G = fix.nabla.jet(ctx).val
+    back = _conjugate_val(ctx, _conjugate_val(ctx, G))
+    return reg.rel_residual(back, G)
 
 
 for _name, _fn in [

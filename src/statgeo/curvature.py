@@ -18,7 +18,12 @@ from .structures import almost_cosymplectic_residual, nabla_operator
 
 
 def riemann(ctx, conn: AffineConnection) -> np.ndarray:
-    """R[i][j][k][l]: component l of R(E_i, E_j)E_k."""
+    """R[i][j][k][l]: component l of R(E_i, E_j)E_k, computed once per
+    context and connection."""
+    return ctx.derived(_riemann, conn)
+
+
+def _riemann(ctx, conn: AffineConnection) -> np.ndarray:
     Gj = conn.jet(ctx)
     G = Gj.val
     EG = ctx.E(Gj)
@@ -57,7 +62,12 @@ def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
 
 
 def a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
-    """Shape operator A = -nabla xi as an operator jet (value and gradient)."""
+    """Shape operator A = -nabla xi as an operator jet (value and gradient),
+    computed once per context, connection and xi."""
+    return ctx.derived(_a_jet, conn, xi)
+
+
+def _a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
     nv = nabla_vector_jet(ctx, conn, xi)
     return Jet(-tr(nv.val), -tr(nv.grad, 1, 0, 2))
 

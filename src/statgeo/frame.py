@@ -25,6 +25,14 @@ conventions, written for the tensor axes:
     w[j]         w(E_j), and W[i][j] = W(E_i, E_j) for 2-forms
 
 The trailing axis of a gradient array is always the coordinate axis.
+
+Frame derivatives (PointContext.E, E_jet) do not go through `contract`:
+each is one np.matmul of the gradient, flattened to (entries, coordinates),
+with the context's contiguous F^T, written through a transposed view of a
+fresh result, so the gradient is never copied into another axis order.
+A context keeps its largest derived tables (Riemann tensors, shape operator
+jets) in a store that `PointContext.derived` fills on first use and that
+dies with the context.
 """
 
 from __future__ import annotations
@@ -323,6 +331,8 @@ class ExprTable:
         self.d1 = np.empty(arr.shape + (m,), dtype=object)
         self.d2 = np.empty(arr.shape + (m, m), dtype=object)
         for idx, e in np.ndenumerate(arr):
+            if not isinstance(e, ex.Expr):
+                raise GeometryError(f"table entry {list(idx)} is a list, not an expression")
             for b, cb in enumerate(self.coords):
                 de = ex.diff(e, cb)
                 self.d1[idx + (b,)] = de
@@ -377,6 +387,8 @@ class Manifold:
         self.dim = len(self.coords)
         if self.dim == 0:
             raise GeometryError("need at least one coordinate")
+        if len(set(self.coords)) != self.dim:
+            raise GeometryError(f"coordinate names must be distinct, got {list(self.coords)}")
         n = self.dim
         self.frame = ExprTable(frame, self.coords, shape=(n, n))
         self.metric = ExprTable(metric, self.coords, shape=(n, n))
@@ -405,10 +417,12 @@ class PointContext:
             raise GeometryError(f"point must have {self.dim} components")
         self.lead = self.x.shape[:-1]
         self.env = dict(zip(manifold.coords, np.moveaxis(self.x, -1, 0)))
-        self._tables: dict[int, tuple[object, tuple]] = {}
-        self._jets: dict[int, tuple[ExprTable, Jet]] = {}
+        self._tables: dict = {}
+        self._jets: dict = {}
+        self._store: dict = {}
 
         self.F = self.table_jet(manifold.frame)
+        self.FT = np.ascontiguousarray(tr(self.F.val))  # FT[a][i] = F[i][a]
         self.Finv = jet_matinv(self.F, "frame", self.x)
         self.g = self.table_jet(manifold.metric)
         g = self.g.val
@@ -449,9 +463,15 @@ class PointContext:
 
     # frame derivative: values only
     def E(self, jet: Jet) -> np.ndarray:
-        """E(T)[i, ...] = E_i applied entrywise: F[i][a] dT[..., a]."""
+        """E(T)[i, ...] = E_i applied entrywise: F[i][a] dT[..., a].
+
+        One np.matmul of the gradient, flattened to (T, a), with the
+        contiguous F^T, written through a transposed view of the (i, T)
+        result, so the gradient is never copied into another axis order.
+        """
         g, T = self._flat(jet.grad, 1)
-        out = contract("...ia,...ta->...it", self.F.val, g)
+        out = np.empty(self.lead + (self.dim, g.shape[-2]))
+        np.matmul(g, self.FT, out=np.swapaxes(out, -1, -2))
         return out.reshape(self.lead + (self.dim,) + T)
 
     # frame derivative with gradient; needs the operand's second gradient
@@ -460,33 +480,43 @@ class PointContext:
             raise ValueError("E_jet needs a jet with a second gradient")
         g, T = self._flat(jet.grad, 1)
         g2, _ = self._flat(jet.grad2, 2)
-        grad = contract("...iac,...ta->...itc", self.F.grad, g) + contract(
-            "...ia,...tac->...itc", self.F.val, g2
-        )
+        # F[i][a] g2[t][a][c] as one (i, a) @ (a, c) product per t, written
+        # through an (i, t) -> (t, i) view like E
+        term = np.empty(self.lead + (self.dim,) + g2.shape[-3::2])
+        np.matmul(self.F.val[..., None, :, :], g2, out=np.swapaxes(term, -3, -2))
+        grad = contract("...iac,...ta->...itc", self.F.grad, g) + term
         shape = self.lead + (self.dim,) + T + grad.shape[-1:]
         return Jet(self.E(jet), grad.reshape(shape))
 
     def table_jet(self, table: ExprTable) -> Jet:
         """Evaluate an ExprTable here, cached per table instance."""
-        key = id(table)
-        hit = self._jets.get(key)
-        if hit is None:
+        jet = self._jets.get(table)
+        if jet is None:
             try:
                 jet = table.jet2(self.env)
             except ex.ExprDomainError as e:
                 raise ex.ExprDomainError(f"{e} at {_at(self.x, e.index or 0)}") from None
-            hit = (table, jet)
-            self._jets[key] = hit
-        return hit[1]
+            self._jets[table] = jet
+        return jet
 
     def connection_table(self, conn) -> tuple[np.ndarray, np.ndarray]:
-        """(G, dG) for a connection, cached per connection instance."""
-        key = id(conn)
-        hit = self._tables.get(key)
+        """(G, dG) for a connection, cached per connection (connections that
+        compare equal share an entry)."""
+        hit = self._tables.get(conn)
         if hit is None:
-            hit = (conn, conn.table(self))
-            self._tables[key] = hit
-        return hit[1]
+            hit = self._tables[conn] = conn.table(self)
+        return hit
+
+    def derived(self, fn, *args):
+        """fn(self, *args), computed once per context and kept for its
+        lifetime; args are keys (connections and jets hash by identity).
+        fn must be a plain function: a stored result, like its key, holds
+        no reference back to the context."""
+        key = (fn,) + args
+        hit = self._store.get(key)
+        if hit is None:
+            hit = self._store[key] = fn(self, *args)
+        return hit
 
 
 def _orthonormalizer(g: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -40,13 +40,13 @@ class AlmostContactStructure:
         self.phi_table = ExprTable(phi, coords)
         self.xi_table = ExprTable(xi, coords)
         self.eta_table = ExprTable(eta, coords)
-        n = self.phi_table.shape[0]
+        n = len(coords)
         if (
             self.phi_table.shape != (n, n)
             or self.xi_table.shape != (n,)
             or self.eta_table.shape != (n,)
         ):
-            raise GeometryError("phi must be (n,n), xi and eta must be (n,)")
+            raise GeometryError(f"phi must be ({n},{n}), xi and eta must be ({n},)")
 
     def phi(self, ctx: PointContext) -> Jet:
         return ctx.table_jet(self.phi_table)
@@ -63,9 +63,9 @@ class AlmostHermitianStructure:
 
     def __init__(self, J, coords):
         self.J_table = ExprTable(J, coords)
-        s = self.J_table.shape
-        if len(s) != 2 or s[0] != s[1]:
-            raise GeometryError("J must be a square operator table")
+        n = len(coords)
+        if self.J_table.shape != (n, n):
+            raise GeometryError(f"J must be a ({n},{n}) operator table")
 
     def J(self, ctx: PointContext) -> Jet:
         return ctx.table_jet(self.J_table)

@@ -1,19 +1,26 @@
 """The batched point axis: golden reports, batch-versus-pointwise equivalence,
-and the per-report gate cache.
+the per-report gate cache, and the per-context tables that a report builds
+once and drops with its context.
 
 The files in tests/golden/ are the reports that the per-point implementation
 (one PointContext per sample point) wrote for each fixture at default
 sampling (n = 20, seed 42, tol 1e-9), with `render_json(build_report(...))`.
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from statgeo import curvature
 from statgeo import registry as reg
+from statgeo.cli import fixture_from_doc
+from statgeo.connections import LeviCivita
 from statgeo.cosymplectic import BUILTIN_NAMES, builtin_fixture
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
+from statgeo.frame import PointContext
 from statgeo.report import build_report
 from statgeo.structures import classify
 
@@ -115,3 +122,68 @@ def test_each_gate_runs_once_per_report(monkeypatch):
     assert calls and set(calls.values()) == {1}
     gated = [r for r in results if r.status == reg.HYPOTHESIS_UNMET]
     assert len(gated) > len(calls)
+
+
+def spy(monkeypatch, owner, name):
+    """Replace owner.name by a pass-through that records each call's
+    arguments; returns the list of records."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_levi_civita_table_built_once_per_context(monkeypatch):
+    calls = spy(monkeypatch, LeviCivita, "table")
+    build_report(random_contact_frame(0), 20, 42, TOL)
+    assert len(calls) == 1
+    calls.clear()
+    eye = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    doc = {"dim": 3, "coords": ["t", "x", "y"], "frame": eye, "metric": eye}
+    fix, _ = fixture_from_doc(doc, "flat")
+    build_report(fix, 5, 0, TOL)
+    assert len(calls) == 1
+
+
+def test_conjugation_check_keeps_no_connection():
+    fix = builtin_fixture("dacko-variant-1")
+    ctxs = fix.sample_contexts(5, 0)
+    reg.run_all(fix, ctxs, TOL, names={c.name for c in reg.REGISTRY if c.suite == "dual"})
+    assert set(ctxs._tables) == {fix.nabla, fix.nabla_star, fix.lc}
+
+
+def test_curvature_tables_built_once_per_connection(monkeypatch):
+    riem = spy(monkeypatch, curvature, "_riemann")
+    shape = spy(monkeypatch, curvature, "_a_jet")
+    fix = builtin_fixture("dacko-variant-1")
+    build_report(fix, 20, 42, TOL)
+    # nabla, nabla*, their mean and nabla0; A for nabla and nabla*
+    assert len(riem) == len({conn for _, conn in riem}) == 4
+    assert len(shape) == len({conn for _, conn, _ in shape}) == 2
+
+
+@pytest.mark.parametrize("name", ["dacko-variant-1", "product-flat", "random-contact-0"])
+def test_report_context_dies_with_the_report(monkeypatch, name):
+    # a context that its own tables refer back to would wait for the cycle
+    # collector, holding every table of the report until then
+    refs = []
+    init = PointContext.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(PointContext, "__init__", tracked)
+    fix = fixture(name)
+    gc.collect()
+    gc.disable()
+    try:
+        build_report(fix, 20, 42, TOL)
+        assert refs and all(r() is None for r in refs)
+    finally:
+        gc.enable()

@@ -122,13 +122,22 @@ def test_spec_and_builtin_together_rejected(capsys, tmp_path):
         (lambda d: d.update(structure={"phi": [["0", "1"], ["-1", "0"]], "xi": ["1", "0"]}), "both xi and eta"),
         (lambda d: d.update(sampling={"box": [[1, -1], [0, 1]]}), "box"),
         (lambda d: d.update(frame=[["1", "junk("], ["0", "1"]]), "junk"),
+        (lambda d: d.update(connections={"random_K_seed": True}), "random_K_seed"),
+        (lambda d: d.update(connections={"random_K_seed": -3}), "random_K_seed"),
+        (lambda d: d.update(connections={"nabla": [[["0"]]]}), "cubical"),
+        (lambda d: d.update(coords=["x", "x"]), "distinct"),
+        (lambda d: d.update(dim=True, coords=["x"], frame=[["1"]], metric=[["1"]]), "'dim'"),
+        (lambda d: d.update(metric=[[["1"], "0"], ["0", "1"]]), "not an expression"),
+        (lambda d: d.update(structure={"phi": [["0"]], "xi": ["1"], "eta": ["1"]}), "phi must be"),
+        (lambda d: d.update(structure={"phi": [["0", "-1", "0"]] * 3}), "J must be"),
     ],
 )
 def test_spec_validation_errors(capsys, tmp_path, mangle, fragment):
     doc = copy.deepcopy(FLAT_2D)
     mangle(doc)
-    code, _, err = run(capsys, "check", write_spec(tmp_path, doc))
-    assert code == 2
+    code, out, err = run(capsys, "check", write_spec(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert fragment in err
 
 

@@ -116,6 +116,30 @@ def test_frame_derivative_of_scalar():
     assert df[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (7,)])
+@pytest.mark.parametrize("T", [1, 3, 9, 27])
+def test_frame_derivative_matches_einsum(lead, T):
+    # E and E_jet write matmul results through transposed views; compare
+    # them with the plain contractions they stand for
+    pts = sample_points(3, [(-1.0, 1.0)] * 3, 7, seed=4)
+    ctx = MESSY.context(pts[0]) if lead == () else MESSY.contexts(pts[: lead[0]])
+    rng = np.random.default_rng(T)
+    grad = rng.standard_normal(lead + (T, 3))
+    grad2 = rng.standard_normal(lead + (T, 3, 3))
+    jet = Jet(np.zeros(lead + (T,)), grad, grad2)
+    F = ctx.F
+
+    def close(got, want):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    close(ctx.E(jet), np.einsum("...ia,...ta->...it", F.val, grad))
+    EJ = ctx.E_jet(jet)
+    close(EJ.val, np.einsum("...ia,...ta->...it", F.val, grad))
+    close(EJ.grad, np.einsum("...iac,...ta->...itc", F.grad, grad)
+          + np.einsum("...ia,...tac->...itc", F.val, grad2))
+
+
 def test_d_of_df_vanishes():
     f = ExprTable(ex.parse("sin(t)*x + y^2*t", COORDS3), COORDS3)
     for pt in sample_points(3, [(-1, 1)] * 3, 5, seed=3):
