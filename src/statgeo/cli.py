@@ -36,6 +36,9 @@ from .report import build_report, classification_summary, exit_code, render_json
 from .structures import AlmostContactStructure, AlmostHermitianStructure, classify
 
 DEFAULT_POINTS = 20
+# a report's peak memory grows by about 33 kB per sample point on a dim-4
+# fixture, so the cap keeps a report under about 0.4 GB
+MAX_POINTS = 10_000
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 
@@ -198,8 +201,9 @@ def resolve_sampling(args, sampling: dict, fix: Fixture):
         tol = float(_sampling_field(sampling, "tolerance", (int, float), "a number", None))
     else:
         tol = _env_tol()
-    if points < 1:
-        raise InputError("--points must be at least 1")
+    if not 1 <= points <= MAX_POINTS:
+        where = "--points" if args.points is not None else "sampling.points"
+        raise InputError(f"{where} must be between 1 and {MAX_POINTS}, got {points}")
     if seed < 0:
         raise InputError("the sampling seed must be non-negative")
     if not (tol > 0 and math.isfinite(tol)):

@@ -71,14 +71,12 @@ class LeviCivita(AffineConnection):
 
     def table(self, ctx):
         Eg, c, g = ctx.Eg, ctx.c, ctx.g
-        low = 0.5 * (
-            Eg
-            + Eg.t(1, 0, 2)
-            - Eg.t(1, 2, 0)
-            + jet_einsum("...ijm,...ml->...ijl", c, g)
-            - jet_einsum("...ilm,...mj->...ijl", c, g)
-            - jet_einsum("...jlm,...mi->...ijl", c, g)
-        )
+        low = Eg + Eg.t(1, 0, 2)  # a fresh jet: the other terms are summed into it
+        low -= Eg.t(1, 2, 0)
+        low += jet_einsum("...ijm,...ml->...ijl", c, g)
+        low -= jet_einsum("...ilm,...mj->...ijl", c, g)
+        low -= jet_einsum("...jlm,...mi->...ijl", c, g)
+        low *= 0.5
         G = jet_einsum("...ijl,...lk->...ijk", low, ctx.ginv)
         return G.val, G.grad
 
@@ -133,8 +131,12 @@ class ShiftedConnection(AffineConnection):
 
     def table(self, ctx):
         Gb, dGb = ctx.connection_table(self.base)
-        K, dK = self.cubic.table(ctx)
-        return Gb + self.sign * K, dGb + self.sign * dK
+        K, dK = self.cubic.table(ctx)  # fresh arrays, turned into the result
+        K *= self.sign
+        K += Gb
+        dK *= self.sign
+        dK += dGb
+        return K, dK
 
 
 class MeanConnection(AffineConnection):
@@ -155,7 +157,10 @@ class MeanConnection(AffineConnection):
     def table(self, ctx):
         Ga, dGa = ctx.connection_table(self.a)
         Gb, dGb = ctx.connection_table(self.b)
-        return 0.5 * (Ga + Gb), 0.5 * (dGa + dGb)
+        G, dG = Ga + Gb, dGa + dGb
+        G *= 0.5
+        dG *= 0.5
+        return G, dG
 
 
 class ProductConnection(AffineConnection):
@@ -263,8 +268,13 @@ def check_dualistic(manifold: Manifold, nabla: AffineConnection,
 
 
 def _k_val(fix, ctx) -> np.ndarray:
-    """The fixture's difference tensor K = nabla - nabla0, values only."""
-    return ctx.connection_table(fix.nabla)[0] - ctx.connection_table(fix.lc)[0]
+    """The fixture's difference tensor K = nabla - nabla0, values only,
+    computed once per context (callers must not write into it)."""
+    return ctx.derived(_difference_val, fix.nabla, fix.lc)
+
+
+def _difference_val(ctx: PointContext, a: AffineConnection, b: AffineConnection) -> np.ndarray:
+    return ctx.connection_table(a)[0] - ctx.connection_table(b)[0]
 
 
 def _chk_stat1(fix, ctx):

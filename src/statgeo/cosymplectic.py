@@ -35,6 +35,7 @@ from .structures import (
     nabla_operator,
     nabla_vector,
     op_commutator,
+    op_lower,
 )
 
 
@@ -56,11 +57,6 @@ def a_tensors(fix, ctx):
 def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Components of the vector A(v) for an operator table A."""
     return contract("...ij,...j->...i", A, v)
-
-
-def _lower(ctx, A: np.ndarray) -> np.ndarray:
-    """L[i][j] = g(A E_i, E_j)."""
-    return contract("...mi,...mj->...ij", A, ctx.g.val)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +89,13 @@ def _chk_afi_i(fix, ctx):
 
 def _chk_afi_ii(fix, ctx):
     A, _, _ = a_tensors(fix, ctx)
-    L = _lower(ctx, A)
+    L = op_lower(ctx, A)
     return reg.rel_residual(L, tr(L))
 
 
 def _chk_afi_iii(fix, ctx):
     _, As, _ = a_tensors(fix, ctx)
-    L = _lower(ctx, As)
+    L = op_lower(ctx, As)
     return reg.rel_residual(L, tr(L))
 
 
@@ -157,19 +153,19 @@ def _chk_kf2a(fix, ctx):
 def _chk_lksi_i(fix, ctx):
     A, As, _ = a_tensors(fix, ctx)
     lhs = lie_metric(ctx, fix.contact.xi(ctx))
-    return reg.rel_residual(lhs, -_lower(ctx, A + As))
+    return reg.rel_residual(lhs, -op_lower(ctx, A + As))
 
 
 def _chk_lksi_ii(fix, ctx):
     _, As, _ = a_tensors(fix, ctx)
     Ne = nabla_covector(ctx, fix.nabla, fix.contact.eta(ctx))
-    return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -_lower(ctx, As)))
+    return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -op_lower(ctx, As)))
 
 
 def _chk_lksi_iii(fix, ctx):
     A, _, _ = a_tensors(fix, ctx)
     Ne = nabla_covector(ctx, fix.nabla_star, fix.contact.eta(ctx))
-    return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -_lower(ctx, A)))
+    return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -op_lower(ctx, A)))
 
 
 def _chk_df1(fix, ctx):
@@ -183,8 +179,8 @@ def _chk_df1(fix, ctx):
     lhs = contract("...ijm,...mk->...ijk", NPhi, Pv) + contract(
         "...ikm,...mj->...ijk", NPhis, Pv
     )
-    rhs = contract("...j,...ik->...ijk", ev, _lower(ctx, A)) + contract(
-        "...k,...ij->...ijk", ev, _lower(ctx, As)
+    rhs = contract("...j,...ik->...ijk", ev, op_lower(ctx, A)) + contract(
+        "...k,...ij->...ijk", ev, op_lower(ctx, As)
     )
     return reg.rel_residual(lhs, rhs)
 
@@ -224,13 +220,12 @@ def _mixed_defect(fix, ctx) -> np.ndarray:
     G = fix.nabla.jet(ctx).val
     Gs = fix.nabla_star.jet(ctx).val
     K = _k_val(fix, ctx)
-    return (
-        ctx.E(P)
-        + contract("...mj,...imk->...ikj", P.val, G)
-        - contract("...ijm,...km->...ikj", Gs, P.val)
-        - contract("...mj,...imk->...ikj", P.val, K)
-        - contract("...ijm,...km->...ikj", K, P.val)
-    )
+    out = ctx.E(P)  # fresh: the other terms are summed into it
+    out += contract("...mj,...imk->...ikj", P.val, G)
+    out -= contract("...ijm,...km->...ikj", Gs, P.val)
+    out -= contract("...mj,...imk->...ikj", P.val, K)
+    out -= contract("...ijm,...km->...ikj", K, P.val)
+    return out
 
 
 def _chk_daziz3(fix, ctx):

@@ -24,16 +24,17 @@ def riemann(ctx, conn: AffineConnection) -> np.ndarray:
 
 
 def _riemann(ctx, conn: AffineConnection) -> np.ndarray:
+    # R[i][j][k][l] = A[i][j][k][l] - A[j][i][k][l] - c[i][j][m] G[m][k][l]
+    # for A[i][j][k][l] = E_i G[j][k][l] + G[j][k][m] G[i][m][l]: the other
+    # quadratic term of R, G[i][k][m] G[j][m][l], is the first with i and j
+    # swapped, so one contraction serves both
     Gj = conn.jet(ctx)
     G = Gj.val
-    EG = ctx.E(Gj)
-    return (
-        EG
-        - tr(EG, 1, 0, 2, 3)
-        + contract("...jkm,...iml->...ijkl", G, G)
-        - contract("...ikm,...jml->...ijkl", G, G)
-        - contract("...ijm,...mkl->...ijkl", ctx.c.val, G)
-    )
+    A = ctx.E(Gj)
+    A += contract("...jkm,...iml->...ijkl", G, G)
+    R = A - tr(A, 1, 0, 2, 3)
+    R -= contract("...ijm,...mkl->...ijkl", ctx.c.val, G)
+    return R
 
 
 def ricci(ctx, conn: AffineConnection) -> np.ndarray:
@@ -51,14 +52,11 @@ def nabla_vector_jet(ctx, conn: AffineConnection, v: Jet) -> Jet:
     """(nabla v)[i][k] together with its coordinate gradient; v must carry a
     second gradient."""
     G, dG = ctx.connection_table(conn)
-    Ev = ctx.E_jet(v)
-    val = Ev.val + contract("...j,...ijk->...ik", v.val, G)
-    grad = (
-        Ev.grad
-        + contract("...ja,...ijk->...ika", v.grad, G)
-        + contract("...j,...ijka->...ika", v.val, dG)
-    )
-    return Jet(val, grad)
+    out = ctx.E_jet(v)  # a fresh jet: the other terms are summed into it
+    out.val += contract("...j,...ijk->...ik", v.val, G)
+    out.grad += contract("...ja,...ijk->...ika", v.grad, G)
+    out.grad += contract("...j,...ijka->...ika", v.val, dG)
+    return out
 
 
 def a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
@@ -69,7 +67,8 @@ def a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
 
 def _a_jet(ctx, conn: AffineConnection, xi: Jet) -> Jet:
     nv = nabla_vector_jet(ctx, conn, xi)
-    return Jet(-tr(nv.val), -tr(nv.grad, 1, 0, 2))
+    nv *= -1.0
+    return nv.t(1, 0)
 
 
 def h_tensors(fix, ctx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,10 +9,15 @@ derivatives of these leaves.
 Grammar:
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := base ('^' number)?
-    base   := number | ident | func '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' number)?
+    base   := number | ident | func '(' expr ')' | '(' expr ')'
 
-Unary minus binds at base level, so "-t^2" parses as (-t)^2.
+Unary minus binds looser than '^' and tighter than '*' and '/': "-t^2" is
+-(t^2) and "-t*x" is (-t)*x.  An expression nests at most MAX_DEPTH levels:
+parentheses, function calls and unary minus while parsing, and operator
+nodes from the root to a leaf of the tree (a sum of k terms nests k - 1);
+deeper input raises ExprError, so that no recursive routine here overflows
+the interpreter stack, derivative trees included.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh")
+
+MAX_DEPTH = 100
 
 _FN_EVAL = {
     "exp": np.exp,
@@ -245,6 +252,7 @@ class _Parser:
         self.text = text
         self.coords = coords
         self.pos = 0
+        self.nest = 0
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -290,6 +298,12 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
+        if self.peek() == "-":
+            self.pos += 1
+            self.enter()
+            e = neg(self.factor())
+            self.nest -= 1
+            return e
         e = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -302,15 +316,14 @@ class _Parser:
         ch = self.peek()
         if ch == "":
             raise ExprSyntaxError("unexpected end of input", self.pos)
-        if ch == "-":
-            self.pos += 1
-            return neg(self.base())
         if ch == "(":
             self.pos += 1
+            self.enter()
             e = self.expr()
             if self.peek() != ")":
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.pos += 1
+            self.nest -= 1
             return e
         if ch.isdigit() or ch == ".":
             return Num(self.number())
@@ -325,10 +338,12 @@ class _Parser:
                 if self.peek() != "(":
                     raise ExprSyntaxError(f"expected '(' after {name}", self.pos)
                 self.pos += 1
+                self.enter()
                 arg = self.expr()
                 if self.peek() != ")":
                     raise ExprSyntaxError("expected ')'", self.pos)
                 self.pos += 1
+                self.nest -= 1
                 return call(name, arg)
             if name in self.coords:
                 return Var(name)
@@ -337,6 +352,12 @@ class _Parser:
                 f"{', '.join(self.coords) or '(none)'}"
             )
         raise ExprSyntaxError(f"unexpected character {ch!r}", self.pos)
+
+    def enter(self):
+        """One more level of parentheses, calls or unary minus."""
+        self.nest += 1
+        if self.nest > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", self.pos)
 
     def number(self) -> float:
         self.skip_ws()
@@ -367,7 +388,31 @@ class _Parser:
 
 def parse(text: str, coords: tuple[str, ...] | list[str]) -> Expr:
     """Parse `text` into an Expr over the declared coordinate names."""
-    return _Parser(text, tuple(coords)).parse()
+    e = _Parser(text, tuple(coords)).parse()
+    # each operator node comes from one of these characters ('(' for a
+    # call), so only a text with more of them can nest too deep
+    if sum(map(text.count, "+-*/^(")) > MAX_DEPTH:
+        d = depth(e)
+        if d > MAX_DEPTH:
+            raise ExprError(f"expression nests {d} levels deep; at most {MAX_DEPTH} are allowed")
+    return e
+
+
+def depth(e: Expr) -> int:
+    """Operator nodes on the longest path from the root of e to a leaf,
+    counted without recursion and once per shared subtree."""
+    known: dict[int, int] = {}
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        kids = [v for v in vars(node).values() if isinstance(v, Expr)]
+        pending = [k for k in kids if id(k) not in known]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        known[id(node)] = 1 + max(known[id(k)] for k in kids) if kids else 0
+    return known[id(e)]
 
 
 # ---------------------------------------------------------------------------

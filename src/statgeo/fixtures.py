@@ -17,8 +17,6 @@ from .connections import (
     AffineConnection,
     ExprConnection,
     LeviCivita,
-    ShiftedConnection,
-    SymmetricCubic,
     random_statistical,
 )
 from .frame import GeometryError, Manifold, sample_points
@@ -168,25 +166,6 @@ def _flat_kaehler_r2() -> Fixture:
         hermitian=AlmostHermitianStructure(_KAEHLER_J_2, coords),
         flags={"kaehler": True},
         lc=lc,
-    )
-
-
-def flat_kaehler_holomorphic(a: float = 0.3, b: float = -0.2) -> Fixture:
-    """Flat Kaehler plane with the two-parameter family of constant cubic
-    tensors whose shift operators anti-commute with J."""
-    base = _flat_kaehler_r2()
-    C = np.zeros((2, 2, 2))
-    for idx, v in [((0, 0, 0), a), ((0, 0, 1), b), ((0, 1, 1), -a), ((1, 1, 1), -b)]:
-        i, j, k = idx
-        for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            C[p] = v
-    cubic = SymmetricCubic(C)
-    return replace(
-        base,
-        name="flat-kaehler-r2-holomorphic",
-        nabla=ShiftedConnection(base.lc, cubic, 1.0),
-        nabla_star=ShiftedConnection(base.lc, cubic, -1.0),
-        flags={"kaehler": True, "holomorphic": True},
     )
 
 

@@ -31,8 +31,17 @@ each is one np.matmul of the gradient, flattened to (entries, coordinates),
 with the context's contiguous F^T, written through a transposed view of a
 fresh result, so the gradient is never copied into another axis order.
 A context keeps its largest derived tables (Riemann tensors, shape operator
-jets) in a store that `PointContext.derived` fills on first use and that
-dies with the context.
+jets, the difference tensor K) in a store that `PointContext.derived` fills
+on first use and that dies with the context.
+
+Memory per point: a multi-term sum is accumulated with in-place operators
+into the array its first term allocated (`out = E(T); out += ...`), so a
+sum of k terms allocates its k results and no partial sums.  In-place
+operators only ever write into an array that the same function has just
+allocated: connection tables, jets and store entries are shared by every
+check of a report.  Only the frame, the metric and xi are differentiated
+twice, so only their ExprTables build second-derivative trees and only
+their jets carry a second gradient; E_jet refuses every other jet.
 """
 
 from __future__ import annotations
@@ -218,7 +227,12 @@ def _perm(axes: list, order: list) -> tuple | None:
 
 class Jet:
     """A numeric table plus its coordinate gradient (and optionally the
-    second gradient, for tables that get frame-differentiated twice)."""
+    second gradient, for tables that get frame-differentiated twice).
+
+    +, - and scalar * build a new jet.  The in-place forms +=, -= and *=
+    write into this jet's own arrays: use them only on a jet the calling
+    code has just built, never on a table a context keeps.
+    """
 
     __slots__ = ("val", "grad", "grad2")
 
@@ -241,6 +255,24 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def __iadd__(self, other: "Jet") -> "Jet":
+        self.val += other.val
+        self.grad += other.grad
+        self.grad2 = None
+        return self
+
+    def __isub__(self, other: "Jet") -> "Jet":
+        self.val -= other.val
+        self.grad -= other.grad
+        self.grad2 = None
+        return self
+
+    def __imul__(self, s: float) -> "Jet":
+        self.val *= s
+        self.grad *= s
+        self.grad2 = None
+        return self
+
     def t(self, *axes: int) -> "Jet":
         """Transpose of the trailing value axes; point and gradient axes stay."""
         k = len(axes)
@@ -259,8 +291,11 @@ def jet_einsum(spec: str, *ops) -> Jet:
     grad = None
     for p, spec_p in _grad_specs(spec, tuple(isinstance(op, Jet) for op in ops)):
         args = [op.grad if q == p else vals[q] for q, op in enumerate(ops)]
-        term = contract(spec_p, *args)
-        grad = term if grad is None else grad + term
+        term = contract(spec_p, *args)  # a fresh array: later terms add into it
+        if grad is None:
+            grad = term
+        else:
+            grad += term
     return Jet(contract(spec, *vals), grad)
 
 
@@ -315,13 +350,17 @@ def as_expr(cell, coords: tuple[str, ...]) -> ex.Expr:
 
 
 class ExprTable:
-    """Array of expressions with first and second derivative trees built once.
+    """Array of expressions with their derivative trees built once.
 
-    Evaluation yields a Jet carrying the exact coordinate gradient and second
-    gradient of every entry, at one point or over a batch of points.
+    Evaluation yields a Jet carrying the exact coordinate gradient of every
+    entry, at one point or over a batch of points.  Only a table built with
+    second=True (the frame, the metric and xi: the tables that get
+    frame-differentiated twice) also builds second-derivative trees and
+    carries the second gradient that PointContext.E_jet needs.
     """
 
-    def __init__(self, cells, coords: tuple[str, ...], shape: tuple[int, ...] | None = None):
+    def __init__(self, cells, coords: tuple[str, ...], shape: tuple[int, ...] | None = None,
+                 *, second: bool = False):
         self.coords = tuple(coords)
         arr = np.array(_normalize(cells, self.coords), dtype=object)
         if shape is not None and arr.shape != shape:
@@ -329,15 +368,16 @@ class ExprTable:
         self.exprs = arr
         m = len(self.coords)
         self.d1 = np.empty(arr.shape + (m,), dtype=object)
-        self.d2 = np.empty(arr.shape + (m, m), dtype=object)
+        self.d2 = np.empty(arr.shape + (m, m), dtype=object) if second else None
         for idx, e in np.ndenumerate(arr):
             if not isinstance(e, ex.Expr):
                 raise GeometryError(f"table entry {list(idx)} is a list, not an expression")
             for b, cb in enumerate(self.coords):
                 de = ex.diff(e, cb)
                 self.d1[idx + (b,)] = de
-                for c, cc in enumerate(self.coords):
-                    self.d2[idx + (b, c)] = ex.diff(de, cc)
+                if second:
+                    for c, cc in enumerate(self.coords):
+                        self.d2[idx + (b, c)] = ex.diff(de, cc)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -353,7 +393,7 @@ class ExprTable:
         lead = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
         first = None
         tables = []
-        for arr in (self.exprs, self.d1, self.d2):
+        for arr in (self.exprs, self.d1) + (() if self.d2 is None else (self.d2,)):
             out = np.empty(lead + arr.shape)
             for idx, e in np.ndenumerate(arr):
                 try:
@@ -390,8 +430,8 @@ class Manifold:
         if len(set(self.coords)) != self.dim:
             raise GeometryError(f"coordinate names must be distinct, got {list(self.coords)}")
         n = self.dim
-        self.frame = ExprTable(frame, self.coords, shape=(n, n))
-        self.metric = ExprTable(metric, self.coords, shape=(n, n))
+        self.frame = ExprTable(frame, self.coords, shape=(n, n), second=True)
+        self.metric = ExprTable(metric, self.coords, shape=(n, n), second=True)
 
     def context(self, point) -> "PointContext":
         """Tables at one point, without a point axis."""
@@ -482,9 +522,9 @@ class PointContext:
         g2, _ = self._flat(jet.grad2, 2)
         # F[i][a] g2[t][a][c] as one (i, a) @ (a, c) product per t, written
         # through an (i, t) -> (t, i) view like E
-        term = np.empty(self.lead + (self.dim,) + g2.shape[-3::2])
-        np.matmul(self.F.val[..., None, :, :], g2, out=np.swapaxes(term, -3, -2))
-        grad = contract("...iac,...ta->...itc", self.F.grad, g) + term
+        grad = np.empty(self.lead + (self.dim,) + g2.shape[-3::2])
+        np.matmul(self.F.val[..., None, :, :], g2, out=np.swapaxes(grad, -3, -2))
+        grad += contract("...iac,...ta->...itc", self.F.grad, g)
         shape = self.lead + (self.dim,) + T + grad.shape[-1:]
         return Jet(self.E(jet), grad.reshape(shape))
 
@@ -620,15 +660,13 @@ def ext_d2(ctx: PointContext, W: Jet) -> np.ndarray:
     """dW[i][j][k] for a 2-form jet, with the 1/3 normalisation."""
     EW = ctx.E(W)  # EW[i][j][k] = E_i(W_jk)
     cv, Wv = ctx.c.val, W.val
-    out = (
-        EW
-        - tr(EW, 1, 0, 2)
-        + tr(EW, 1, 2, 0)
-        - contract("...ijm,...mk->...ijk", cv, Wv)
-        + contract("...ikm,...mj->...ijk", cv, Wv)
-        - contract("...jkm,...mi->...ijk", cv, Wv)
-    )
-    return out / 3.0
+    out = EW - tr(EW, 1, 0, 2)  # fresh: the other terms are summed into it
+    out += tr(EW, 1, 2, 0)
+    out -= contract("...ijm,...mk->...ijk", cv, Wv)
+    out += contract("...ikm,...mj->...ijk", cv, Wv)
+    out -= contract("...jkm,...mi->...ijk", cv, Wv)
+    out /= 3.0
+    return out
 
 
 def cyclic(T: np.ndarray) -> np.ndarray:

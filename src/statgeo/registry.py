@@ -10,6 +10,7 @@ running, together with the measured hypothesis residual.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,16 +23,33 @@ SKIPPED = "skipped"
 
 
 def rel_residual(lhs, rhs) -> float:
-    """max over entries of |L - R| / (1 + |L| + |R|)."""
+    """max over entries of |L - R| / (1 + |L| + |R|).
+
+    Formed in two buffers of the broadcast shape, with the operations and
+    their order of the formula, so the result is bitwise that of the formula.
+    """
     L = np.asarray(lhs, float)
     R = np.asarray(rhs, float)
-    r = np.abs(L - R) / (1.0 + np.abs(L) + np.abs(R))
-    return float(np.max(r)) if r.size else 0.0
+    shape = L.shape if L.shape == R.shape else np.broadcast_shapes(L.shape, R.shape)
+    if not math.prod(shape):
+        return 0.0
+    d = np.abs(R, out=np.empty(shape))
+    den = np.abs(L, out=np.empty(shape))
+    den += 1.0
+    den += d
+    np.subtract(L, R, out=d)
+    np.abs(d, out=d)
+    d /= den
+    return float(d.max())
 
 
 def abs_max(a) -> float:
+    """max over entries of |a|, without forming |a|."""
     a = np.asarray(a, float)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    # + 0.0 turns the -0.0 of an all-(-0.0) array into 0.0, as |a| would
+    return float(max(-a.min(), a.max())) + 0.0
 
 
 @dataclass

@@ -38,7 +38,7 @@ class AlmostContactStructure:
 
     def __init__(self, phi, xi, eta, coords):
         self.phi_table = ExprTable(phi, coords)
-        self.xi_table = ExprTable(xi, coords)
+        self.xi_table = ExprTable(xi, coords, second=True)  # A = -nabla xi gets differentiated
         self.eta_table = ExprTable(eta, coords)
         n = len(coords)
         if (
@@ -83,33 +83,35 @@ def fundamental_form(ctx: PointContext, P: Jet) -> Jet:
 def nabla_operator(ctx, conn: AffineConnection, P: Jet) -> np.ndarray:
     """NP[i][k][j]: E_k-component of (nabla_{E_i} P)(E_j)."""
     G = conn.jet(ctx).val
-    return (
-        ctx.E(P)
-        + contract("...mj,...imk->...ikj", P.val, G)
-        - contract("...ijm,...km->...ikj", G, P.val)
-    )
+    out = ctx.E(P)  # fresh: the other terms are summed into it
+    out += contract("...mj,...imk->...ikj", P.val, G)
+    out -= contract("...ijm,...km->...ikj", G, P.val)
+    return out
 
 
 def nabla_vector(ctx, conn: AffineConnection, v: Jet) -> np.ndarray:
     """NV[i][k]: E_k-component of nabla_{E_i} V."""
     G = conn.jet(ctx).val
-    return ctx.E(v) + contract("...j,...ijk->...ik", v.val, G)
+    out = ctx.E(v)
+    out += contract("...j,...ijk->...ik", v.val, G)
+    return out
 
 
 def nabla_covector(ctx, conn: AffineConnection, w: Jet) -> np.ndarray:
     """NW[i][j] = (nabla_{E_i} w)(E_j)."""
     G = conn.jet(ctx).val
-    return ctx.E(w) - contract("...ijm,...m->...ij", G, w.val)
+    out = ctx.E(w)
+    out -= contract("...ijm,...m->...ij", G, w.val)
+    return out
 
 
 def nabla_2form(ctx, conn: AffineConnection, W: Jet) -> np.ndarray:
     """NW[i][j][k] = (nabla_{E_i} W)(E_j, E_k)."""
     G = conn.jet(ctx).val
-    return (
-        ctx.E(W)
-        - contract("...ijm,...mk->...ijk", G, W.val)
-        - contract("...ikm,...jm->...ijk", G, W.val)
-    )
+    out = ctx.E(W)
+    out -= contract("...ijm,...mk->...ijk", G, W.val)
+    out -= contract("...ikm,...jm->...ijk", G, W.val)
+    return out
 
 
 def op_commutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
@@ -126,9 +128,12 @@ def op_anticommutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
     )
 
 
-def op_lower(ctx, NP: np.ndarray) -> np.ndarray:
-    """T[i][j][k] = g((...)E_j, E_k) for an [i][k][j] operator family."""
-    return contract("...imj,...mk->...ijk", NP, ctx.g.val)
+def op_lower(ctx, P: np.ndarray) -> np.ndarray:
+    """Lowered operators: L[j][k] = g(P E_j, E_k) for an operator table
+    P[k][j], and T[i][j][k] = g(P_i E_j, E_k) for an [i][k][j] family."""
+    if P.ndim - len(ctx.lead) == 2:
+        return contract("...mj,...mk->...jk", P, ctx.g.val)
+    return contract("...imj,...mk->...ijk", P, ctx.g.val)
 
 
 def nijenhuis(ctx: PointContext, P: Jet) -> np.ndarray:
@@ -155,7 +160,9 @@ def n1_tensor(ctx: PointContext, contact: AlmostContactStructure) -> np.ndarray:
     P = contact.phi(ctx)
     xi = contact.xi(ctx)
     deta = ext_d1(ctx, contact.eta(ctx))
-    return nijenhuis(ctx, P) + 2.0 * contract("...ij,...k->...ijk", deta, xi.val)
+    out = nijenhuis(ctx, P)
+    out += 2.0 * contract("...ij,...k->...ijk", deta, xi.val)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +310,10 @@ def _gray_rhs_hermitian(fix, ctx, J: Jet) -> np.ndarray:
     dOm = ext_d2(ctx, Omega)
     dOmJJ = contract("...iml,...mj,...lk->...ijk", dOm, Jv, Jv)
     N = nijenhuis(ctx, J)
-    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
-    return 3.0 * (dOm - dOmJJ) + NJX
+    out = np.subtract(dOm, dOmJJ, out=dOmJJ)
+    out *= 3.0
+    out += contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+    return out
 
 
 def _chk_aziz1(fix, ctx):
@@ -622,13 +631,12 @@ def _gray_rhs_contact(fix, ctx) -> np.ndarray:
     N2 = M - tr(M)
     deta = ext_d1(ctx, eta)
     dEtaP = contract("...mi,...mj->...ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
-    rhs = (
-        3.0 * (dPhi - dPhiPP)
-        + N1PX
-        + contract("...jk,...i->...ijk", N2, ev)
-        + 2.0 * contract("...ij,...k->...ijk", dEtaP, ev)
-        - 2.0 * contract("...ik,...j->...ijk", dEtaP, ev)
-    )
+    rhs = np.subtract(dPhi, dPhiPP, out=dPhiPP)
+    rhs *= 3.0
+    rhs += N1PX
+    rhs += contract("...jk,...i->...ijk", N2, ev)
+    rhs += 2.0 * contract("...ij,...k->...ijk", dEtaP, ev)
+    rhs -= 2.0 * contract("...ik,...j->...ijk", dEtaP, ev)
     return rhs
 
 

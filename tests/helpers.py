@@ -4,11 +4,14 @@ second implementations that the package's results are compared against."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 
 from statgeo import expr as ex
 from statgeo import registry as reg
+from statgeo.connections import ShiftedConnection, SymmetricCubic
+from statgeo.fixtures import Fixture, builtin_base
 from statgeo.frame import Jet, PointContext, jet_einsum
 from statgeo.structures import nabla_operator, nabla_vector
 
@@ -94,3 +97,22 @@ def nabla_a(ctx, conn, A: Jet) -> np.ndarray:
     if reg.abs_max(one - two) > 1e-9 * (1.0 + reg.abs_max(one)):
         raise AssertionError("operator derivative implementations disagree")
     return one
+
+
+def flat_kaehler_holomorphic(a: float = 0.3, b: float = -0.2) -> Fixture:
+    """Flat Kaehler plane with the two-parameter family of constant cubic
+    tensors whose shift operators anti-commute with J."""
+    base = builtin_base("flat-kaehler-r2")
+    C = np.zeros((2, 2, 2))
+    for idx, v in [((0, 0, 0), a), ((0, 0, 1), b), ((0, 1, 1), -a), ((1, 1, 1), -b)]:
+        i, j, k = idx
+        for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
+            C[p] = v
+    cubic = SymmetricCubic(C)
+    return replace(
+        base,
+        name="flat-kaehler-r2-holomorphic",
+        nabla=ShiftedConnection(base.lc, cubic, 1.0),
+        nabla_star=ShiftedConnection(base.lc, cubic, -1.0),
+        flags={"kaehler": True, "holomorphic": True},
+    )

@@ -12,15 +12,16 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from statgeo import curvature
+from statgeo import connections, curvature
 from statgeo import registry as reg
 from statgeo.cli import fixture_from_doc
 from statgeo.connections import LeviCivita
 from statgeo.cosymplectic import BUILTIN_NAMES, builtin_fixture
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
-from statgeo.frame import PointContext
+from statgeo.frame import Jet, PointContext
 from statgeo.report import build_report
 from statgeo.structures import classify
 
@@ -187,3 +188,93 @@ def test_report_context_dies_with_the_report(monkeypatch, name):
         assert refs and all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, PointContext):
+        return np.array_equal(a.x, b.x) and not stale_tables(a)
+    if isinstance(a, Jet):
+        return all(_equal(getattr(a, k), getattr(b, k)) for k in ("val", "grad", "grad2"))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_equal(p, q) for p, q in zip(a, b))
+    if a is None:
+        return b is None
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def stale_tables(ctx: PointContext) -> list:
+    """What a context keeps for the whole report (its own tables, expression
+    jets, connection tables and store entries) that differs from the same
+    thing computed afresh on a new context at the same points."""
+    fresh = PointContext(ctx.manifold, ctx.x)
+    stale = [name for name in ("F", "FT", "Finv", "g", "ginv", "onb", "c", "Eg")
+             if not _equal(getattr(ctx, name), getattr(fresh, name))]
+    jets = {}
+    for table, jet in ctx._jets.items():
+        jets[jet] = fresh.table_jet(table)
+        if not _equal(jet, jets[jet]):
+            stale.append(table)
+    for conn, tables in ctx._tables.items():
+        if not _equal(tables, fresh.connection_table(conn)):
+            stale.append(conn)
+    for key, value in ctx._store.items():
+        fn, *args = key
+        if not _equal(value, fresh.derived(fn, *[jets.get(a, a) for a in args])):
+            stale.append(key)
+    return stale
+
+
+def report_context(monkeypatch, fix) -> PointContext:
+    """The batched context of one full report on fix."""
+    made = []
+    init = PointContext.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(PointContext, "__init__", kept)
+    build_report(fix, 20, 42, TOL)
+    monkeypatch.undo()
+    return made[0]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_report_leaves_shared_tables_unchanged(monkeypatch, name):
+    # Sums are formed in place in arrays their function has just allocated;
+    # one written into a table the context keeps would change it for every
+    # later check of the report.
+    ctx = report_context(monkeypatch, fixture(name))
+    assert ctx._tables and ctx._jets and ctx._store
+    assert stale_tables(ctx) == []
+
+
+def test_a_write_into_a_connection_table_is_seen(monkeypatch):
+    fix = builtin_fixture("dacko-variant-1")
+    ctx = report_context(monkeypatch, fix)
+    G, _ = ctx.connection_table(fix.lc)
+    G += 1e-12
+    assert fix.lc in stale_tables(ctx)
+
+
+def test_second_gradients_only_where_they_are_read():
+    dacko, herm = builtin_fixture("dacko-variant-1"), random_hermitian_frame(0)
+    ct, man = dacko.contact, dacko.manifold
+    once = [ct.phi_table, ct.eta_table, herm.hermitian.J_table,
+            dacko.nabla._table, dacko.nabla_star._table]
+    assert all(t.d2 is None for t in once)
+    assert all(t.d2 is not None for t in (man.frame, man.metric, ct.xi_table))
+    ctx = dacko.sample_contexts(3, 0)
+    for t in once[:2] + once[3:]:
+        with pytest.raises(ValueError, match="second gradient"):
+            ctx.E_jet(ctx.table_jet(t))
+    hctx = herm.sample_contexts(3, 0)
+    with pytest.raises(ValueError, match="second gradient"):
+        hctx.E_jet(herm.hermitian.J(hctx))
+    assert ctx.E_jet(ct.xi(ctx)).grad.shape == (3, 3, 3, 3)
+
+
+def test_difference_tensor_built_once_per_context(monkeypatch):
+    calls = spy(monkeypatch, connections, "_difference_val")
+    build_report(builtin_fixture("dacko-variant-1"), 20, 42, TOL)
+    assert len(calls) == 1

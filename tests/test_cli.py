@@ -130,6 +130,8 @@ def test_spec_and_builtin_together_rejected(capsys, tmp_path):
         (lambda d: d.update(metric=[[["1"], "0"], ["0", "1"]]), "not an expression"),
         (lambda d: d.update(structure={"phi": [["0"]], "xi": ["1"], "eta": ["1"]}), "phi must be"),
         (lambda d: d.update(structure={"phi": [["0", "-1", "0"]] * 3}), "J must be"),
+        (lambda d: d.update(frame=[["(" * 3000 + "x" + ")" * 3000, "0"], ["0", "1"]]), "nests"),
+        (lambda d: d.update(metric=[[" + ".join(["x"] * 20000), "0"], ["0", "1"]]), "nests"),
     ],
 )
 def test_spec_validation_errors(capsys, tmp_path, mangle, fragment):
@@ -151,6 +153,7 @@ def test_spec_validation_errors(capsys, tmp_path, mangle, fragment):
         ({"tolerance": False}, "sampling.tolerance"),
         ({"seed": -1}, "seed"),
         ({"box": [[0], [0, 1]]}, "sampling.box"),
+        ({"points": 10**12}, "sampling.points must be between 1 and 10000"),
     ],
 )
 def test_sampling_block_errors_exit_2(capsys, tmp_path, sampling, fragment):

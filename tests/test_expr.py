@@ -22,6 +22,7 @@ from statgeo.expr import (
     parse,
     to_str,
 )
+from statgeo.frame import ExprTable
 
 from helpers import fd_partial, random_expr, random_point
 
@@ -55,10 +56,64 @@ def test_eval_values(text, env, value):
     assert eval_expr(parse(text, COORDS), env) == pytest.approx(value, abs=1e-12)
 
 
-def test_unary_minus_binds_before_power():
-    # "-t^2" is (-t)^2, not -(t^2)
-    assert eval_expr(parse("-t^2", COORDS), {"t": 3.0}) == 9.0
-    assert eval_expr(parse("-(t^2)", COORDS), {"t": 3.0}) == -9.0
+def test_unary_minus_binds_looser_than_power():
+    # "-t^2" is -(t^2), as in written mathematics; "-t*x" is (-t)*x
+    env = {"t": 3.0, "x": 2.0}
+    assert parse("-t^2", COORDS) == Neg(Pow(Var("t"), 2.0))
+    assert eval_expr(parse("-t^2", COORDS), env) == -9.0
+    assert eval_expr(parse("2 - t^2", COORDS), env) == -7.0
+    assert eval_expr(parse("(-t)^2", COORDS), env) == 9.0
+    assert parse("-2^2", COORDS) == Num(-4.0)
+    assert parse("-t*x", COORDS) == Mul(Neg(Var("t")), Var("x"))
+    assert parse("x*-t^2", COORDS) == Mul(Var("x"), Neg(Pow(Var("t"), 2.0)))
+    assert eval_expr(parse("t^-2", COORDS), env) == pytest.approx(1.0 / 9.0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 3000 + "t" + ")" * 3000,
+        "sin(" * 3000 + "t" + ")" * 3000,
+        "-" * 3000 + "t",
+        " + ".join(["t"] * 20000),
+        "*".join(["t"] * 20000),
+        "(" * (ex.MAX_DEPTH + 1) + "t" + ")" * (ex.MAX_DEPTH + 1),
+        "+".join(["t"] * (ex.MAX_DEPTH + 2)),
+    ],
+    ids=["parens-3000", "calls-3000", "minus-3000", "sum-20000", "product-20000",
+         "parens-over-cap", "sum-over-cap"],
+)
+def test_too_deep_expressions_are_expression_errors(text):
+    with pytest.raises(ex.ExprError, match=f"at most {ex.MAX_DEPTH}|deeper than {ex.MAX_DEPTH}"):
+        parse(text, COORDS)
+
+
+def test_expressions_at_the_depth_cap_get_second_derivatives():
+    # Quotients nest their second derivatives about six times deeper than
+    # themselves, the most of any operator.  At the cap that is about 600
+    # levels, which the recursive routines must still walk.  Evaluating the
+    # quotient's own second derivative takes seconds (the tree shares
+    # subtrees that evaluation walks again), so a chain of the same depth
+    # stands in for it.
+    cap = ex.MAX_DEPTH
+    quot = "t"
+    for _ in range(cap):
+        quot = f"t/({quot})"
+    e = parse(quot, COORDS)
+    assert ex.depth(e) == cap
+    d2 = diff(diff(e, "t"), "t")
+    assert 5 * cap < ex.depth(d2) <= 6 * cap
+    chain = Var("t")
+    for _ in range(ex.depth(d2)):
+        chain = Sub(chain, Var("x"))
+    assert eval_expr(chain, {"t": 0.5, "x": 1.0}) == 0.5 - ex.depth(d2)
+    with pytest.raises(ex.ExprError):  # too deep to parse back
+        parse(to_str(chain), COORDS)
+
+    texts = ["*".join(["t"] * (cap + 1)), "+".join(["t"] * (cap + 1)),
+             "(" * cap + "t" + ")" * cap]
+    jet = ExprTable(texts, COORDS, second=True).jet2({"t": 1.0, "x": 0.0, "y": 0.0})
+    assert jet.grad2[:, 0, 0].tolist() == [cap * (cap + 1), 0.0, 0.0]
 
 
 def test_power_exponent_must_be_numeric():

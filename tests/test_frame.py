@@ -141,7 +141,7 @@ def test_frame_derivative_matches_einsum(lead, T):
 
 
 def test_d_of_df_vanishes():
-    f = ExprTable(ex.parse("sin(t)*x + y^2*t", COORDS3), COORDS3)
+    f = ExprTable(ex.parse("sin(t)*x + y^2*t", COORDS3), COORDS3, second=True)
     for pt in sample_points(3, [(-1, 1)] * 3, 5, seed=3):
         ctx = MESSY.context(pt)
         df = ctx.E_jet(ctx.table_jet(f))
@@ -149,7 +149,7 @@ def test_d_of_df_vanishes():
 
 
 def test_d_of_d_one_form_vanishes():
-    w = ExprTable(["t*x", "cos(y)", "x + 2*t"], COORDS3)
+    w = ExprTable(["t*x", "cos(y)", "x + 2*t"], COORDS3, second=True)
     for pt in sample_points(3, [(-1, 1)] * 3, 5, seed=4):
         ctx = MESSY.context(pt)
         dw = ext_d1_jet(ctx, ctx.table_jet(w))

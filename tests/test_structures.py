@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import flat_kaehler_holomorphic
 from statgeo import registry as reg
 from statgeo.connections import LeviCivita, ShiftedConnection, SymmetricCubic
 from statgeo.fixtures import (
     Fixture,
     builtin_base,
-    flat_kaehler_holomorphic,
     random_contact_frame,
     random_hermitian_frame,
 )
@@ -99,6 +99,20 @@ def test_operator_and_form_derivatives_agree_for_metric_connection(name):
         lhs = nabla_2form(ctx, fix.lc, fundamental_form(ctx, P))
         rhs = op_lower(ctx, nabla_operator(ctx, fix.lc, P))
         assert reg.rel_residual(lhs, rhs) < 1e-12
+
+
+@pytest.mark.parametrize("points", [None, 3, 5])
+def test_op_lower_takes_an_operator_or_a_family(points):
+    # a batch of 3 points on a 3-manifold has operator tables of the shape
+    # of a single point's family: the context's point axes tell them apart
+    fix = builtin_base("dacko-variant-1")
+    ctx = fix.manifold.context([0.1, 0.2, 0.3]) if points is None else fix.sample_contexts(points, 1)
+    rng = np.random.default_rng(0)
+    P = rng.standard_normal(ctx.lead + (3, 3))
+    NP = rng.standard_normal(ctx.lead + (3, 3, 3))
+    g = ctx.g.val
+    assert np.allclose(op_lower(ctx, P), np.einsum("...mi,...mj->...ij", P, g), rtol=0, atol=1e-14)
+    assert np.allclose(op_lower(ctx, NP), np.einsum("...imj,...mk->...ijk", NP, g), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["dacko-variant-1", "kenmotsu-model", "sasakian-r3"])
