@@ -8,6 +8,10 @@ context metric:
     E_i g(E_j, E_k) = g(nabla_{E_i} E_j, E_k) + g(E_j, nabla*_{E_i} E_k)
 
 so the conjugate table is Gs[i][j][l] = (Eg[i][j][k] - G[i][k][m] g[m][j]) ginv[k][l].
+
+For a pair nabla = nabla0 + K, nabla* = nabla0 - K, `pair_side` gives one
+side (conn, dual, K) of it and `register_pair` registers a check body once
+per side.
 """
 
 from __future__ import annotations
@@ -277,16 +281,43 @@ def _difference_val(ctx: PointContext, a: AffineConnection, b: AffineConnection)
     return ctx.connection_table(a)[0] - ctx.connection_table(b)[0]
 
 
+def _neg_difference_val(ctx: PointContext, a: AffineConnection,
+                        b: AffineConnection) -> np.ndarray:
+    return -ctx.derived(_difference_val, a, b)
+
+
+def pair_side(fix, ctx, star: bool) -> tuple:
+    """One side (conn, dual, K) of the fixture's pair: (nabla, nabla*, K), or
+    (nabla*, nabla, -K) with star.  As nabla = nabla0 + K and
+    nabla* = nabla0 - K, an identity about nabla holds for nabla* with K
+    replaced by -K, so one body written over a side serves both.  -K is kept
+    next to K in the context's store; negation is exact, so a body on the
+    nabla* side computes bitwise what its hand-written dual would."""
+    if star:
+        return fix.nabla_star, fix.nabla, ctx.derived(_neg_difference_val, fix.nabla, fix.lc)
+    return fix.nabla, fix.nabla_star, _k_val(fix, ctx)
+
+
+def register_pair(names: tuple[str, str], suite: str, body, **kw) -> None:
+    """Register body(fix, ctx, side) under names[0] on the side of nabla and
+    under names[1] on the side of nabla*; kw go to both CheckDefs."""
+    for star, name in enumerate(names):
+        reg.register(reg.CheckDef(name=name, suite=suite, run=_on_side(body, bool(star)), **kw))
+
+
+def _on_side(body, star: bool):
+    def run(fix, ctx):
+        return body(fix, ctx, pair_side(fix, ctx, star))
+
+    return run
+
+
 def _chk_stat1(fix, ctx):
     return dualistic_residual(ctx, fix.nabla, fix.nabla_star)
 
 
-def _chk_torsion_nabla(fix, ctx):
-    return reg.abs_max(torsion(ctx, fix.nabla))
-
-
-def _chk_torsion_nabla_star(fix, ctx):
-    return reg.abs_max(torsion(ctx, fix.nabla_star))
+def _chk_torsion(fix, ctx, side):
+    return reg.abs_max(torsion(ctx, side[0]))
 
 
 def _chk_torsion_lc(fix, ctx):
@@ -343,8 +374,6 @@ def _chk_conj_invol(fix, ctx):
 
 for _name, _fn in [
     ("DUAL-STAT1", _chk_stat1),
-    ("DUAL-TORSION-NABLA", _chk_torsion_nabla),
-    ("DUAL-TORSION-NABLA-STAR", _chk_torsion_nabla_star),
     ("DUAL-TORSION-LC", _chk_torsion_lc),
     ("DUAL-LC-METRIC", _chk_lc_metric),
     ("DUAL-MEAN", _chk_mean),
@@ -355,3 +384,5 @@ for _name, _fn in [
     ("DUAL-CONJ-INVOL", _chk_conj_invol),
 ]:
     reg.register(reg.CheckDef(name=_name, suite="dual", run=_fn, needs=("dual",)))
+register_pair(("DUAL-TORSION-NABLA", "DUAL-TORSION-NABLA-STAR"), "dual", _chk_torsion,
+              needs=("dual",))

@@ -4,6 +4,13 @@ Kaehler-leaves criteria, and the line-times-base product construction.
 The class-conditional checks are gated on the measured closedness of eta and
 of the fundamental form; when the fixture fails the gate they report
 `hypothesis-unmet` together with the residual instead of being graded.
+
+As in `structures`, an identity that holds for both connections of the pair
+is one body over a side (conn, dual, K) of it, registered under the name of
+each side: COSYM-AFI-II/III take A of conn, COSYM-AFI-V/VI and
+COSYM-LKSI-II/III the shape operators of conn and of its dual, and the
+Kaehler-leaves defect takes K or -K.  COSYM-KF1A/KF2A and COSYM-DAZIZ1/2
+are the bodies of HERM-AZIZ81/82 and HERM-AZIZ10/11 on phi.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from . import registry as reg
-from .connections import AffineConnection, ProductConnection, _k_val
+from .connections import AffineConnection, ProductConnection, _k_val, pair_side
 from .fixtures import BASE_BUILTIN_NAMES, Fixture, builtin_base
 from .frame import (
     GeometryError,
@@ -20,13 +27,14 @@ from .frame import (
     Manifold,
     as_expr,
     contract,
-    cyclic,
     lie_covector,
     lie_metric,
     tr,
 )
 from .structures import (
     AlmostContactStructure,
+    _chk_form_cyclic,
+    _chk_p_commutator,
     almost_cosymplectic_residual,
     fundamental_form,
     n1_tensor,
@@ -36,6 +44,7 @@ from .structures import (
     nabla_vector,
     op_commutator,
     op_lower,
+    register_identity,
 )
 
 
@@ -87,15 +96,8 @@ def _chk_afi_i(fix, ctx):
     return reg.abs_max(lie_covector(ctx, ct.xi(ctx), ct.eta(ctx)))
 
 
-def _chk_afi_ii(fix, ctx):
-    A, _, _ = a_tensors(fix, ctx)
-    L = op_lower(ctx, A)
-    return reg.rel_residual(L, tr(L))
-
-
-def _chk_afi_iii(fix, ctx):
-    _, As, _ = a_tensors(fix, ctx)
-    L = op_lower(ctx, As)
+def _chk_a_symmetric(fix, ctx, side):
+    L = op_lower(ctx, a_tensor(ctx, side[0], fix.contact.xi(ctx)))
     return reg.rel_residual(L, tr(L))
 
 
@@ -108,24 +110,13 @@ def _chk_afi_iv(fix, ctx):
     )
 
 
-def _chk_afi_v(fix, ctx):
-    ct = fix.contact
-    P = ct.phi(ctx)
-    xiv = ct.xi(ctx).val
-    A, As, _ = a_tensors(fix, ctx)
-    NP = nabla_operator(ctx, fix.nabla, P)
-    lhs = contract("...i,...ikj->...kj", xiv, NP)
-    return reg.rel_residual(lhs, P.val @ A + As @ P.val)
-
-
-def _chk_afi_vi(fix, ctx):
-    ct = fix.contact
-    P = ct.phi(ctx)
-    xiv = ct.xi(ctx).val
-    A, As, _ = a_tensors(fix, ctx)
-    NPs = nabla_operator(ctx, fix.nabla_star, P)
-    lhs = contract("...i,...ikj->...kj", xiv, NPs)
-    return reg.rel_residual(lhs, P.val @ As + A @ P.val)
+def _chk_xi_derivative_of_phi(fix, ctx, side):
+    # nabla_xi phi = phi A + A* phi, A for conn and A* for its dual
+    conn, dual, _ = side
+    P = fix.contact.phi(ctx)
+    xi = fix.contact.xi(ctx)
+    lhs = contract("...i,...ikj->...kj", xi.val, nabla_operator(ctx, conn, P))
+    return reg.rel_residual(lhs, P.val @ a_tensor(ctx, conn, xi) + a_tensor(ctx, dual, xi) @ P.val)
 
 
 def _chk_afi_vii(fix, ctx):
@@ -140,32 +131,19 @@ def _chk_aksi(fix, ctx):
     return reg.abs_max(_apply(A, xiv) + _apply(As, xiv))
 
 
-def _chk_kf1a(fix, ctx):
-    Phi = fundamental_form(ctx, fix.contact.phi(ctx))
-    return reg.abs_max(cyclic(nabla_2form(ctx, fix.nabla, Phi)))
-
-
-def _chk_kf2a(fix, ctx):
-    Phi = fundamental_form(ctx, fix.contact.phi(ctx))
-    return reg.abs_max(cyclic(nabla_2form(ctx, fix.nabla_star, Phi)))
-
-
 def _chk_lksi_i(fix, ctx):
     A, As, _ = a_tensors(fix, ctx)
     lhs = lie_metric(ctx, fix.contact.xi(ctx))
     return reg.rel_residual(lhs, -op_lower(ctx, A + As))
 
 
-def _chk_lksi_ii(fix, ctx):
-    _, As, _ = a_tensors(fix, ctx)
-    Ne = nabla_covector(ctx, fix.nabla, fix.contact.eta(ctx))
+def _chk_eta_derivative(fix, ctx, side):
+    # nabla eta is symmetric and lowers the dual's shape operator
+    conn, dual, _ = side
+    ct = fix.contact
+    Ne = nabla_covector(ctx, conn, ct.eta(ctx))
+    As = a_tensor(ctx, dual, ct.xi(ctx))
     return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -op_lower(ctx, As)))
-
-
-def _chk_lksi_iii(fix, ctx):
-    A, _, _ = a_tensors(fix, ctx)
-    Ne = nabla_covector(ctx, fix.nabla_star, fix.contact.eta(ctx))
-    return max(reg.rel_residual(Ne, tr(Ne)), reg.rel_residual(Ne, -op_lower(ctx, A)))
 
 
 def _chk_df1(fix, ctx):
@@ -199,18 +177,6 @@ def _chk_df2(fix, ctx):
         "...k,...ij->...ijk", ev, GAP
     )
     return reg.rel_residual(lhs, rhs)
-
-
-def _chk_daziz1(fix, ctx):
-    P = fix.contact.phi(ctx)
-    NP = nabla_operator(ctx, fix.nabla, P)
-    return reg.rel_residual(NP, op_commutator(_k_val(fix, ctx), P.val))
-
-
-def _chk_daziz2(fix, ctx):
-    P = fix.contact.phi(ctx)
-    NPs = nabla_operator(ctx, fix.nabla_star, P)
-    return reg.rel_residual(NPs, -op_commutator(_k_val(fix, ctx), P.val))
 
 
 def _mixed_defect(fix, ctx) -> np.ndarray:
@@ -248,38 +214,27 @@ _LKSI_NOTE = (
     "shape-operator lowering"
 )
 
-for _name, _fn, _gate, _ann in [
-    ("COSYM-AFI-I", _chk_afi_i, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-II", _chk_afi_ii, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-III", _chk_afi_iii, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-IV", _chk_afi_iv, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-V", _chk_afi_v, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-VI", _chk_afi_vi, gate_almost_cosymplectic, None),
-    ("COSYM-AFI-VII", _chk_afi_vii, gate_almost_cosymplectic, None),
-    ("COSYM-AKSI", _chk_aksi, gate_almost_cosymplectic, None),
-    ("COSYM-KF1A", _chk_kf1a, gate_almost_cosymplectic, None),
-    ("COSYM-KF2A", _chk_kf2a, gate_almost_cosymplectic, None),
-    ("COSYM-LKSI-I", _chk_lksi_i, gate_almost_cosymplectic, None),
-    ("COSYM-LKSI-II", _chk_lksi_ii, gate_almost_cosymplectic, _LKSI_NOTE),
-    ("COSYM-LKSI-III", _chk_lksi_iii, gate_almost_cosymplectic, _LKSI_NOTE),
-    ("COSYM-DF1", _chk_df1, gate_almost_cosymplectic, None),
-    ("COSYM-DF2", _chk_df2, gate_almost_cosymplectic, None),
-    ("COSYM-DAZIZ1", _chk_daziz1, gate_cosymplectic, None),
-    ("COSYM-DAZIZ2", _chk_daziz2, gate_cosymplectic, None),
+_CD = ("contact", "dual")
+for _names, _body in [
+    ("COSYM-AFI-I", _chk_afi_i),
+    (("COSYM-AFI-II", "COSYM-AFI-III"), _chk_a_symmetric),
+    ("COSYM-AFI-IV", _chk_afi_iv),
+    (("COSYM-AFI-V", "COSYM-AFI-VI"), _chk_xi_derivative_of_phi),
+    ("COSYM-AFI-VII", _chk_afi_vii),
+    ("COSYM-AKSI", _chk_aksi),
+    ("COSYM-LKSI-I", _chk_lksi_i),
+    ("COSYM-DF1", _chk_df1),
+    ("COSYM-DF2", _chk_df2),
 ]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="cosymplectic", run=_fn, needs=("contact", "dual"),
-            unconditional=False, gate=_gate, annotate=_ann,
-        )
-    )
-
-reg.register(
-    reg.CheckDef(
-        name="COSYM-DAZIZ3", suite="cosymplectic", run=_chk_daziz3,
-        needs=("contact", "dual"), annotate=_daziz3_note,
-    )
-)
+    register_identity(_names, "cosymplectic", _body, needs=_CD, gate=gate_almost_cosymplectic)
+register_identity(("COSYM-LKSI-II", "COSYM-LKSI-III"), "cosymplectic", _chk_eta_derivative,
+                  needs=_CD, gate=gate_almost_cosymplectic, annotate=_LKSI_NOTE)
+register_identity(("COSYM-KF1A", "COSYM-KF2A"), "cosymplectic", _chk_form_cyclic, "contact",
+                  needs=_CD, gate=gate_almost_cosymplectic)
+register_identity(("COSYM-DAZIZ1", "COSYM-DAZIZ2"), "cosymplectic", _chk_p_commutator,
+                  "contact", needs=_CD, gate=gate_cosymplectic)
+register_identity("COSYM-DAZIZ3", "cosymplectic", _chk_daziz3, needs=_CD,
+                  annotate=_daziz3_note)
 
 
 # ---------------------------------------------------------------------------
@@ -298,53 +253,37 @@ def _leaves_struct(fix, ctx) -> np.ndarray:
     ) + contract("...j,...ki->...ikj", ev, P.val @ A0)
 
 
-def _leaves_defects(fix, ctx):
+def _leaves_defect(fix, ctx, side, S: np.ndarray) -> np.ndarray:
+    """nabla phi - (K phi - phi K) - S on one side (conn, dual, K) of the
+    pair, for S of `_leaves_struct`."""
+    conn, _, K = side
     P = fix.contact.phi(ctx)
-    K = _k_val(fix, ctx)
-    S = _leaves_struct(fix, ctx)
-    comm = op_commutator(K, P.val)
-    d0 = nabla_operator(ctx, fix.lc, P) - S
-    d1 = nabla_operator(ctx, fix.nabla, P) - comm - S
-    d2 = nabla_operator(ctx, fix.nabla_star, P) + comm - S
-    dm = _mixed_defect(fix, ctx) - S
-    return d0, d1, d2, dm
+    return nabla_operator(ctx, conn, P) - op_commutator(K, P.val) - S
 
 
 def _chk_kl_agree(fix, ctx):
-    d0, d1, d2, dm = _leaves_defects(fix, ctx)
+    S = _leaves_struct(fix, ctx)
+    d0 = nabla_operator(ctx, fix.lc, fix.contact.phi(ctx)) - S
+    d1, d2 = (_leaves_defect(fix, ctx, pair_side(fix, ctx, star), S) for star in (False, True))
+    dm = _mixed_defect(fix, ctx) - S
     return max(reg.abs_max(d1 - d0), reg.abs_max(d2 - d0), reg.abs_max(dm - d0))
 
 
-def _chk_kl_nabla(fix, ctx):
-    return reg.abs_max(_leaves_defects(fix, ctx)[1])
-
-
-def _chk_kl_nabla_star(fix, ctx):
-    return reg.abs_max(_leaves_defects(fix, ctx)[2])
+def _chk_kl_side(fix, ctx, side):
+    return reg.abs_max(_leaves_defect(fix, ctx, side, _leaves_struct(fix, ctx)))
 
 
 def _chk_kl_o1(fix, ctx):
-    return reg.abs_max(_leaves_defects(fix, ctx)[3])
+    return reg.abs_max(_mixed_defect(fix, ctx) - _leaves_struct(fix, ctx))
 
 
-reg.register(
-    reg.CheckDef(
-        name="KLEAVES-AGREE", suite="kaehler-leaves", run=_chk_kl_agree,
-        needs=("contact", "dual"),
-    )
-)
-for _name, _fn in [
-    ("KLEAVES-NABLA", _chk_kl_nabla),
-    ("KLEAVES-NABLA-STAR", _chk_kl_nabla_star),
+register_identity("KLEAVES-AGREE", "kaehler-leaves", _chk_kl_agree, needs=_CD)
+for _names, _body in [
+    (("KLEAVES-NABLA", "KLEAVES-NABLA-STAR"), _chk_kl_side),
     ("KLEAVES-O1", _chk_kl_o1),
 ]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="kaehler-leaves", run=_fn, needs=("contact", "dual"),
-            unconditional=False, gate=gate_almost_cosymplectic,
-            report_when_gated=True,
-        )
-    )
+    register_identity(_names, "kaehler-leaves", _body, needs=_CD,
+                      gate=gate_almost_cosymplectic, report_when_gated=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from . import registry as reg
 from .connections import AffineConnection, MeanConnection, _k_val
 from .cosymplectic import a_tensors, gate_almost_cosymplectic
 from .frame import Jet, contract, lie_operator, tr
-from .structures import almost_cosymplectic_residual, nabla_operator
+from .structures import almost_cosymplectic_residual, nabla_operator, register_identity
 
 
 def riemann(ctx, conn: AffineConnection) -> np.ndarray:
@@ -123,16 +123,11 @@ def _reeb_comm(fix, ctx, conn_diff, conn_a):
     return tr(NA, 2, 0, 1) - tr(NA, 0, 2, 1)
 
 
-def _chk_r0(fix, ctx):
-    xiv = fix.contact.xi(ctx).val
-    lhs = contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla), xiv)
-    return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla, fix.nabla))
-
-
-def _chk_r00(fix, ctx):
-    xiv = fix.contact.xi(ctx).val
-    lhs = contract("...ijkl,...k->...ijl", riemann(ctx, fix.nabla_star), xiv)
-    return reg.rel_residual(lhs, _reeb_comm(fix, ctx, fix.nabla_star, fix.nabla_star))
+def _chk_r0(fix, ctx, side):
+    # R(X, Y)xi = (nabla_Y A)X - (nabla_X A)Y for one connection of the pair
+    conn = side[0]
+    lhs = contract("...ijkl,...k->...ijl", riemann(ctx, conn), fix.contact.xi(ctx).val)
+    return reg.rel_residual(lhs, _reeb_comm(fix, ctx, conn, conn))
 
 
 def _chk_r03(fix, ctx):
@@ -256,52 +251,23 @@ def gate_reeb_hypotheses(fix, ctxs, tol):
     return False, r, "hypotheses K_xi phi = 0 and A xi = 0 are not satisfied"
 
 
-for _name, _fn in [
-    ("CURV-ANTISYM", _chk_antisym),
-    ("CURV-R0", _chk_r0),
-    ("CURV-R00", _chk_r00),
-    ("CURV-R05", _chk_r05),
-    ("CURV-b3", _chk_b3),
+_CD = ("contact", "dual")
+_ACS = {"gate": gate_almost_cosymplectic}
+_REEB = {"gate": gate_reeb_hypotheses, "report_when_gated": True}
+for _names, _body, _needs, _kw in [
+    ("CURV-ANTISYM", _chk_antisym, ("dual",), {}),
+    (("CURV-R0", "CURV-R00"), _chk_r0, _CD, {}),
+    ("CURV-R05", _chk_r05, _CD, {}),
+    ("CURV-b3", _chk_b3, _CD, {}),
+    # R03/R04/R06 lean on the Lie-derivative operator h0, whose agreement
+    # with the shape-operator forms needs nabla0_xi phi = 0; that holds
+    # exactly on the almost cosymplectic class.
+    ("CURV-R03", _chk_r03, _CD, _ACS),
+    ("CURV-R04", _chk_r04, _CD, _ACS),
+    ("CURV-R06", _chk_r06, _CD, _ACS),
+    ("CURV-KLM", _chk_klm, _CD, dict(_ACS, annotate=_klm_note)),
+    ("CURV-b4", _chk_b4, ("contact",), _ACS),
+    ("CURV-RZZ", _chk_rzz, _CD, _REEB),
+    ("CURV-SZZ", _chk_szz, _CD, _REEB),
 ]:
-    _needs = ("dual",) if _name == "CURV-ANTISYM" else ("contact", "dual")
-    reg.register(
-        reg.CheckDef(name=_name, suite="curvature", run=_fn, needs=_needs)
-    )
-
-# R03/R04/R06 lean on the Lie-derivative operator h0, whose agreement with
-# the shape-operator forms needs nabla0_xi phi = 0; that holds exactly on the
-# almost cosymplectic class.
-for _name, _fn in [
-    ("CURV-R03", _chk_r03),
-    ("CURV-R04", _chk_r04),
-    ("CURV-R06", _chk_r06),
-]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="curvature", run=_fn,
-            needs=("contact", "dual"), unconditional=False,
-            gate=gate_almost_cosymplectic,
-        )
-    )
-reg.register(
-    reg.CheckDef(
-        name="CURV-KLM", suite="curvature", run=_chk_klm,
-        needs=("contact", "dual"), unconditional=False,
-        gate=gate_almost_cosymplectic, annotate=_klm_note,
-    )
-)
-reg.register(
-    reg.CheckDef(
-        name="CURV-b4", suite="curvature", run=_chk_b4,
-        needs=("contact",), unconditional=False,
-        gate=gate_almost_cosymplectic,
-    )
-)
-for _name, _fn in [("CURV-RZZ", _chk_rzz), ("CURV-SZZ", _chk_szz)]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="curvature", run=_fn,
-            needs=("contact", "dual"), unconditional=False,
-            gate=gate_reeb_hypotheses, report_when_gated=True,
-        )
-    )
+    register_identity(_names, "curvature", _body, needs=_needs, **_kw)

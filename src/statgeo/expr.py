@@ -555,16 +555,37 @@ def eval_expr(e: Expr, env: dict[str, float]) -> float:
 
     Raises ExprDomainError on division by zero, log of a non-positive value,
     or a non-finite result; its `index` names the first offending point.
+
+    A subtree that the tree holds more than once (a derivative reuses its
+    operands: the quotient rule holds the denominator three times) is
+    evaluated once per call; only such subtrees keep their values.
     """
     if isinstance(e, Num):  # finite by construction
         return e.value
     with np.errstate(all="ignore"):
-        v = _eval(e, env)
+        v = _eval(e, env, _shared(e))
     _domain(~np.isfinite(v), "non-finite result {}", v)
     return v if np.ndim(v) else float(v)
 
 
-def _eval(e: Expr, env: dict[str, float]):
+def _shared(e: Expr) -> dict:
+    """A memo for `_eval`: None, until the node is evaluated, for each
+    operator node that the tree e holds more than once, keyed by id(node)."""
+    refs: dict[int, int] = {}
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Num, Var)):
+            continue
+        n = refs[id(node)] = refs.get(id(node), 0) + 1
+        if n == 1:
+            todo.extend(v for v in vars(node).values() if isinstance(v, Expr))
+    return dict.fromkeys(k for k, n in refs.items() if n > 1)
+
+
+def _eval(e: Expr, env: dict[str, float], shared: dict):
+    """Value of e; a node in `shared` is evaluated at its first use only
+    (the tree keeps every node, and so every id, alive for the call)."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -572,20 +593,27 @@ def _eval(e: Expr, env: dict[str, float]):
             return env[e.name]
         except KeyError:
             raise ExprNameError(f"no value for coordinate {e.name!r}") from None
+    v = shared.get(id(e))
+    if v is not None:
+        return v
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
-    if isinstance(e, Sub):
-        return _eval(e.left, env) - _eval(e.right, env)
-    if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
-    if isinstance(e, Div):
-        d = _eval(e.right, env)
+        v = -_eval(e.arg, env, shared)
+    elif isinstance(e, Add):
+        v = _eval(e.left, env, shared) + _eval(e.right, env, shared)
+    elif isinstance(e, Sub):
+        v = _eval(e.left, env, shared) - _eval(e.right, env, shared)
+    elif isinstance(e, Mul):
+        v = _eval(e.left, env, shared) * _eval(e.right, env, shared)
+    elif isinstance(e, Div):
+        d = _eval(e.right, env, shared)
         _domain(d == 0.0, "division by zero")
-        return _eval(e.left, env) / d
-    if isinstance(e, Pow):
-        return _real_pow(_eval(e.base, env), e.exponent)
-    if isinstance(e, Call):
-        return _apply_fn(e.fn, _eval(e.arg, env))
-    raise TypeError(f"not an Expr: {e!r}")
+        v = _eval(e.left, env, shared) / d
+    elif isinstance(e, Pow):
+        v = _real_pow(_eval(e.base, env, shared), e.exponent)
+    elif isinstance(e, Call):
+        v = _apply_fn(e.fn, _eval(e.arg, env, shared))
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if id(e) in shared:
+        shared[id(e)] = v
+    return v

@@ -31,8 +31,8 @@ each is one np.matmul of the gradient, flattened to (entries, coordinates),
 with the context's contiguous F^T, written through a transposed view of a
 fresh result, so the gradient is never copied into another axis order.
 A context keeps its largest derived tables (Riemann tensors, shape operator
-jets, the difference tensor K) in a store that `PointContext.derived` fills
-on first use and that dies with the context.
+jets, the difference tensor K and its negative -K) in a store that
+`PointContext.derived` fills on first use and that dies with the context.
 
 Memory per point: a multi-term sum is accumulated with in-place operators
 into the array its first term allocated (`out = E(T); out += ...`), so a

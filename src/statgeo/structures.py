@@ -6,14 +6,24 @@ fundamental form, normality, and their named combinations), and the identity
 suites tying covariant derivatives of the structure operator along a
 dualistic pair to the difference tensor, exterior derivatives, and torsion
 terms.
+
+Each identity has one body, written over the structure operator P (phi of
+an almost contact structure, J of an almost Hermitian one) and, where it
+involves the pair, over one side (conn, dual, K) of it: (nabla, nabla*, K)
+or (nabla*, nabla, -K).  `register_identity` registers a body under the
+names of its instances, so HERM-AZIZ2 and AC-AAB1 are one body on J and on
+phi, and AC-AAB1 and AC-AAB2 one body on the two sides.  The same bodies
+serve the cosymplectic suite (COSYM-KF1A/KF2A, COSYM-DAZIZ1/2).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import registry as reg
-from .connections import AffineConnection, _k_val
+from .connections import AffineConnection, _k_val, register_pair
 from .frame import (
     ExprTable,
     GeometryError,
@@ -293,173 +303,155 @@ for _name, _fn in [
 
 
 # ---------------------------------------------------------------------------
-# shared pieces for the identity suites
+# one body per identity, over P and a side of the pair (see the module
+# docstring); the tables after each suite register the bodies by name
 
 
-def _herm_parts(fix, ctx):
-    J = fix.hermitian.J(ctx)
-    K = _k_val(fix, ctx)
-    return J, K
+def register_identity(names, suite: str, body, structure: str | None = None, **kw) -> None:
+    """Register body(fix, ctx, [P,] [side]).  With a structure ("contact" or
+    "hermitian"), its operator P comes first.  names is one name, or the
+    names of the nabla side and of the nabla* side for a body that also takes
+    a side (see `connections.register_pair`); kw go to every CheckDef."""
+    run = body if structure is None else _over_op(body, structure)
+    if isinstance(names, str):
+        reg.register(reg.CheckDef(name=names, suite=suite, run=run, **kw))
+    else:
+        register_pair(names, suite, run, **kw)
 
 
-def _gray_rhs_hermitian(fix, ctx, J: Jet) -> np.ndarray:
-    """The torsion-free part of 2 g((nabla0_X J)Y, Z): exterior-derivative
-    block plus Nijenhuis block."""
-    Jv = J.val
-    Omega = fundamental_form(ctx, J)
-    dOm = ext_d2(ctx, Omega)
-    dOmJJ = contract("...iml,...mj,...lk->...ijk", dOm, Jv, Jv)
-    N = nijenhuis(ctx, J)
-    out = np.subtract(dOm, dOmJJ, out=dOmJJ)
-    out *= 3.0
-    out += contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
+def _over_op(body, structure: str):
+    def run(fix, ctx, *side):
+        P = fix.contact.phi(ctx) if structure == "contact" else fix.hermitian.J(ctx)
+        return body(fix, ctx, P, *side)
+
+    return run
+
+
+def _kp_lowered(ctx, K, Pv):
+    """T[i][j][k] = g(K_{E_i}(P E_j), E_k)."""
+    return contract("...mj,...iml,...lk->...ijk", Pv, K, ctx.g.val)
+
+
+def _kp_sym(ctx, K, Pv):
+    """T[i][j][k] = g(K_{E_i}(P E_j), E_k) + g(P(K_{E_i} E_j), E_k)."""
+    out = _kp_lowered(ctx, K, Pv)
+    out += contract("...ijm,...lm,...lk->...ijk", K, Pv, ctx.g.val)
     return out
 
 
-def _chk_aziz1(fix, ctx):
-    J, _ = _herm_parts(fix, ctx)
-    NJ = nabla_operator(ctx, fix.nabla, J)
-    NJs = nabla_operator(ctx, fix.nabla_star, J)
-    lhs = op_lower(ctx, NJ)
-    rhs = -contract("...imk,...mj->...ijk", NJs, ctx.g.val)
-    return reg.rel_residual(lhs, rhs)
+def _n_lowered(ctx, N, Pv):
+    """T[i][j][k] = g(P E_i, N(E_j, E_k)) for a (1,2) tensor N[j][k][m]."""
+    return contract("...jkm,...li,...ml->...ijk", N, Pv, ctx.g.val)
 
 
-def _chk_aziz2(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NJ = nabla_operator(ctx, fix.nabla, J)
-    N0J = nabla_operator(ctx, fix.lc, J)
-    return reg.rel_residual(NJ, N0J + op_commutator(K, J.val))
+def _chk_p_conjugate(fix, ctx, P):
+    # g((nabla_X P)Y, Z) = -g(Y, (nabla*_X P)Z)
+    lhs = op_lower(ctx, nabla_operator(ctx, fix.nabla, P))
+    NPs = nabla_operator(ctx, fix.nabla_star, P)
+    return reg.rel_residual(lhs, -contract("...imk,...mj->...ijk", NPs, ctx.g.val))
 
 
-def _chk_aziz3(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NJs = nabla_operator(ctx, fix.nabla_star, J)
-    N0J = nabla_operator(ctx, fix.lc, J)
-    return reg.rel_residual(NJs, N0J - op_commutator(K, J.val))
+def _chk_p_shift(fix, ctx, P, side):
+    # nabla P = nabla0 P + K P - P K
+    conn, _, K = side
+    NP = nabla_operator(ctx, conn, P)
+    return reg.rel_residual(NP, nabla_operator(ctx, fix.lc, P) + op_commutator(K, P.val))
 
 
-def _kj_lowered(ctx, K, Jv):
-    """T[i][j][k] = g(K_{E_i}(J E_j), E_k)."""
-    return contract("...mj,...iml,...lk->...ijk", Jv, K, ctx.g.val)
+def _chk_p_commutator(fix, ctx, P, side):
+    # nabla P = K P - P K where nabla0 P = 0 (Kaehler, cosymplectic)
+    conn, _, K = side
+    return reg.rel_residual(nabla_operator(ctx, conn, P), op_commutator(K, P.val))
 
 
-def _jk_lowered(ctx, K, Jv):
-    """T[i][j][k] = g(J(K_{E_i} E_j), E_k)."""
-    return contract("...ijm,...lm,...lk->...ijk", K, Jv, ctx.g.val)
+def _chk_form_op(fix, ctx, P, side):
+    # (nabla_X F)(Y, Z) = g((nabla_X P)Y, Z) - 2 g(K_X(P Y), Z) for F = g(P., .)
+    conn, _, K = side
+    NF = nabla_2form(ctx, conn, fundamental_form(ctx, P))
+    rhs = op_lower(ctx, nabla_operator(ctx, conn, P)) - 2.0 * _kp_lowered(ctx, K, P.val)
+    return reg.rel_residual(NF, rhs)
 
 
-def _chk_aziz4(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NOm = nabla_2form(ctx, fix.nabla, fundamental_form(ctx, J))
-    NJ = nabla_operator(ctx, fix.nabla, J)
-    return reg.rel_residual(NOm, op_lower(ctx, NJ) - 2.0 * _kj_lowered(ctx, K, J.val))
+def _chk_form_shift(fix, ctx, P, side):
+    # nabla F = nabla0 F - g(K(P.), .) - g(P K(.), .)
+    conn, _, K = side
+    F = fundamental_form(ctx, P)
+    rhs = nabla_2form(ctx, fix.lc, F) - _kp_sym(ctx, K, P.val)
+    return reg.rel_residual(nabla_2form(ctx, conn, F), rhs)
 
 
-def _chk_aziz5(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NOms = nabla_2form(ctx, fix.nabla_star, fundamental_form(ctx, J))
-    NJs = nabla_operator(ctx, fix.nabla_star, J)
-    return reg.rel_residual(NOms, op_lower(ctx, NJs) + 2.0 * _kj_lowered(ctx, K, J.val))
+def _chk_form_cyclic(fix, ctx, P, side):
+    return reg.abs_max(cyclic(nabla_2form(ctx, side[0], fundamental_form(ctx, P))))
 
 
-def _chk_aziz5a(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    Om = fundamental_form(ctx, J)
-    NOm = nabla_2form(ctx, fix.nabla, Om)
-    N0Om = nabla_2form(ctx, fix.lc, Om)
-    S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
-    return reg.rel_residual(NOm, N0Om - S)
+def _chk_gray(rhs, fix, ctx, P, side):
+    # 2 g((nabla_X P)Y, Z) = rhs + 2 g((K_X P)Y, Z), rhs(fix, ctx, P) standing
+    # for 2 g((nabla0_X P)Y, Z) on the fixtures it is graded on
+    conn, _, K = side
+    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, conn, P))
+    return reg.rel_residual(lhs, 2.0 * op_lower(ctx, op_commutator(K, P.val)) + rhs(fix, ctx, P))
 
 
-def _chk_aziz5b(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    Om = fundamental_form(ctx, J)
-    NOms = nabla_2form(ctx, fix.nabla_star, Om)
-    N0Om = nabla_2form(ctx, fix.lc, Om)
-    S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
-    return reg.rel_residual(NOms, N0Om + S)
+def _gray_block(ctx, P: Jet, N: np.ndarray) -> np.ndarray:
+    """3 (dF - dF(P., P.)) + g(P E_i, N(E_j, E_k)) for F = g(P., .): the
+    exterior-derivative and Nijenhuis blocks of 2 g((nabla0_X P)Y, Z)."""
+    dF = ext_d2(ctx, fundamental_form(ctx, P))
+    out = contract("...iml,...mj,...lk->...ijk", dF, P.val, P.val)
+    np.subtract(dF, out, out=out)
+    out *= 3.0
+    out += _n_lowered(ctx, N, P.val)
+    return out
 
 
-def _chk_cyclic86(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
-    return reg.abs_max(cyclic(S))
+def _gray_rhs_hermitian(fix, ctx, J: Jet) -> np.ndarray:
+    return _gray_block(ctx, J, nijenhuis(ctx, J))
 
 
-def _chk_aziz6(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla, J))
-    rhs = 2.0 * op_lower(ctx, op_commutator(K, J.val)) + _gray_rhs_hermitian(fix, ctx, J)
-    return reg.rel_residual(lhs, rhs)
+def _nijenhuis_rhs(fix, ctx, J: Jet) -> np.ndarray:
+    # on an almost Kaehler fixture dF = 0 and the Nijenhuis block is all
+    return _n_lowered(ctx, nijenhuis(ctx, J), J.val)
 
 
-def _chk_azizy7(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla_star, J))
-    rhs = -2.0 * op_lower(ctx, op_commutator(K, J.val)) + _gray_rhs_hermitian(fix, ctx, J)
-    return reg.rel_residual(lhs, rhs)
+def _gray_rhs_contact(fix, ctx, P: Jet) -> np.ndarray:
+    """2 g((nabla0_X phi)Y, Z) for almost contact metric structures: the
+    Gray block with the normality tensor N1, then the Lie block and the
+    eta-weighted deta terms."""
+    eta = fix.contact.eta(ctx)
+    ev = eta.val
+    rhs = _gray_block(ctx, P, n1_tensor(ctx, fix.contact))
+    # N2[j][k] = (L_{phi E_j} eta)(E_k) - (L_{phi E_k} eta)(E_j)
+    M = np.stack(
+        [lie_covector(ctx, operator_column(P, j), eta) for j in range(ctx.dim)], axis=-2
+    )
+    rhs += contract("...jk,...i->...ijk", M - tr(M), ev)
+    # dEtaP[i][j] = deta(phi E_j, E_i)
+    dEtaP = contract("...mi,...mj->...ij", ext_d1(ctx, eta), P.val)
+    rhs += 2.0 * contract("...ij,...k->...ijk", dEtaP, ev)
+    rhs -= 2.0 * contract("...ik,...j->...ijk", dEtaP, ev)
+    return rhs
 
 
-def _chk_aziz8(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    Jv = J.val
-    N = nijenhuis(ctx, J)
-    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla, J))
-    rhs = 2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
-    return reg.rel_residual(lhs, rhs)
+# ---------------------------------------------------------------------------
+# almost Hermitian identity suite
 
 
-def _chk_aziz9(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    Jv = J.val
-    N = nijenhuis(ctx, J)
-    NJX = contract("...jkm,...li,...ml->...ijk", N, Jv, ctx.g.val)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla_star, J))
-    rhs = -2.0 * op_lower(ctx, op_commutator(K, Jv)) + NJX
-    return reg.rel_residual(lhs, rhs)
+def _chk_cyclic86(fix, ctx, J):
+    return reg.abs_max(cyclic(_kp_sym(ctx, _k_val(fix, ctx), J.val)))
 
 
-def _chk_aziz81(fix, ctx):
-    J = fix.hermitian.J(ctx)
-    NOm = nabla_2form(ctx, fix.nabla, fundamental_form(ctx, J))
-    return reg.abs_max(cyclic(NOm))
-
-
-def _chk_aziz82(fix, ctx):
-    J = fix.hermitian.J(ctx)
-    NOms = nabla_2form(ctx, fix.nabla_star, fundamental_form(ctx, J))
-    return reg.abs_max(cyclic(NOms))
-
-
-def _chk_aziz10(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NJ = nabla_operator(ctx, fix.nabla, J)
-    return reg.rel_residual(NJ, op_commutator(K, J.val))
-
-
-def _chk_aziz11(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    NJs = nabla_operator(ctx, fix.nabla_star, J)
-    return reg.rel_residual(NJs, -op_commutator(K, J.val))
-
-
-def _chk_holo_equiv(fix, ctx):
+def _chk_holo_equiv(fix, ctx, J):
     # with a parallel fundamental form for the metric connection, nabla Omega
     # vanishes exactly when the pair's difference tensor anti-commutes with J,
     # and then nabla* Omega vanishes as well
-    J, K = _herm_parts(fix, ctx)
     Om = fundamental_form(ctx, J)
-    S = _kj_lowered(ctx, K, J.val) + _jk_lowered(ctx, K, J.val)
+    S = _kp_sym(ctx, _k_val(fix, ctx), J.val)
     r1 = reg.abs_max(nabla_2form(ctx, fix.nabla, Om) + S)
     r2 = reg.abs_max(nabla_2form(ctx, fix.nabla_star, Om) - S)
     return max(r1, r2)
 
 
-def _chk_holo_defect(fix, ctx):
-    J, K = _herm_parts(fix, ctx)
-    return reg.abs_max(op_anticommutator(K, J.val))
+def _chk_holo_defect(fix, ctx, J):
+    return reg.abs_max(op_anticommutator(_k_val(fix, ctx), J.val))
 
 
 def _gate_almost_kaehler(fix, ctxs, tol):
@@ -485,54 +477,26 @@ def _gate_holomorphic(fix, ctxs, tol):
     return False, None, "fixture not declared holomorphic"
 
 
-for _name, _fn in [
-    ("HERM-AZIZ1", _chk_aziz1),
-    ("HERM-AZIZ2", _chk_aziz2),
-    ("HERM-AZIZ3", _chk_aziz3),
-    ("HERM-AZIZ4", _chk_aziz4),
-    ("HERM-AZIZ5", _chk_aziz5),
-    ("HERM-AZIZ5A", _chk_aziz5a),
-    ("HERM-AZIZ5B", _chk_aziz5b),
-    ("HERM-AZIZ6", _chk_aziz6),
-    ("HERM-AZIZY7", _chk_azizy7),
-    ("CYCLIC-86", _chk_cyclic86),
+for _names, _body, _gate in [
+    ("HERM-AZIZ1", _chk_p_conjugate, None),
+    (("HERM-AZIZ2", "HERM-AZIZ3"), _chk_p_shift, None),
+    (("HERM-AZIZ4", "HERM-AZIZ5"), _chk_form_op, None),
+    (("HERM-AZIZ5A", "HERM-AZIZ5B"), _chk_form_shift, None),
+    (("HERM-AZIZ6", "HERM-AZIZY7"), functools.partial(_chk_gray, _gray_rhs_hermitian), None),
+    ("CYCLIC-86", _chk_cyclic86, None),
+    (("HERM-AZIZ8", "HERM-AZIZ9"), functools.partial(_chk_gray, _nijenhuis_rhs),
+     _gate_almost_kaehler),
+    (("HERM-AZIZ81", "HERM-AZIZ82"), _chk_form_cyclic, _gate_almost_kaehler),
+    (("HERM-AZIZ10", "HERM-AZIZ11"), _chk_p_commutator, _gate_kaehler),
+    ("HOLO-EQUIV", _chk_holo_equiv, _gate_kaehler),
 ]:
-    reg.register(
-        reg.CheckDef(name=_name, suite="hermitian", run=_fn, needs=("hermitian", "dual"))
-    )
+    register_identity(_names, "hermitian", _body, "hermitian",
+                      needs=("hermitian", "dual"), gate=_gate)
 
-for _name, _fn in [
-    ("HERM-AZIZ8", _chk_aziz8),
-    ("HERM-AZIZ9", _chk_aziz9),
-    ("HERM-AZIZ81", _chk_aziz81),
-    ("HERM-AZIZ82", _chk_aziz82),
-]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="hermitian", run=_fn, needs=("hermitian", "dual"),
-            unconditional=False, gate=_gate_almost_kaehler,
-        )
-    )
-
-for _name, _fn in [
-    ("HERM-AZIZ10", _chk_aziz10),
-    ("HERM-AZIZ11", _chk_aziz11),
-    ("HOLO-EQUIV", _chk_holo_equiv),
-]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="hermitian", run=_fn, needs=("hermitian", "dual"),
-            unconditional=False, gate=_gate_kaehler,
-        )
-    )
-
-reg.register(
-    reg.CheckDef(
-        name="HOLO-DEFECT", suite="hermitian", run=_chk_holo_defect,
-        needs=("hermitian", "dual"), unconditional=False,
-        gate=_gate_holomorphic, gate_fail_status=reg.SKIPPED,
-        report_when_gated=True,
-    )
+register_identity(
+    "HOLO-DEFECT", "hermitian", _chk_holo_defect, "hermitian",
+    needs=("hermitian", "dual"), gate=_gate_holomorphic,
+    gate_fail_status=reg.SKIPPED, report_when_gated=True,
 )
 
 
@@ -540,124 +504,15 @@ reg.register(
 # almost contact identity suite
 
 
-def _ac_parts(fix, ctx):
-    P = fix.contact.phi(ctx)
-    K = _k_val(fix, ctx)
-    return P, K
-
-
-def _chk_aa3(fix, ctx):
-    P, _ = _ac_parts(fix, ctx)
-    NP = nabla_operator(ctx, fix.nabla, P)
-    NPs = nabla_operator(ctx, fix.nabla_star, P)
-    lhs = op_lower(ctx, NP)
-    rhs = -contract("...imk,...mj->...ijk", NPs, ctx.g.val)
-    return reg.rel_residual(lhs, rhs)
-
-
-def _chk_aab1(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    NP = nabla_operator(ctx, fix.nabla, P)
-    N0P = nabla_operator(ctx, fix.lc, P)
-    return reg.rel_residual(NP, N0P + op_commutator(K, P.val))
-
-
-def _chk_aab2(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    NPs = nabla_operator(ctx, fix.nabla_star, P)
-    N0P = nabla_operator(ctx, fix.lc, P)
-    return reg.rel_residual(NPs, N0P - op_commutator(K, P.val))
-
-
-def _chk_aa4a(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    NPhi = nabla_2form(ctx, fix.nabla, fundamental_form(ctx, P))
-    NP = nabla_operator(ctx, fix.nabla, P)
-    return reg.rel_residual(NPhi, op_lower(ctx, NP) - 2.0 * _kj_lowered(ctx, K, P.val))
-
-
-def _chk_aa5(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    NPhis = nabla_2form(ctx, fix.nabla_star, fundamental_form(ctx, P))
-    NPs = nabla_operator(ctx, fix.nabla_star, P)
-    return reg.rel_residual(NPhis, op_lower(ctx, NPs) + 2.0 * _kj_lowered(ctx, K, P.val))
-
-
-def _chk_bb1(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
+def _chk_bbb1(fix, ctx, P):
     Phi = fundamental_form(ctx, P)
-    S = _kj_lowered(ctx, K, P.val) + _jk_lowered(ctx, K, P.val)
-    return reg.rel_residual(
-        nabla_2form(ctx, fix.nabla, Phi), nabla_2form(ctx, fix.lc, Phi) - S
-    )
-
-
-def _chk_bb2(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    Phi = fundamental_form(ctx, P)
-    S = _kj_lowered(ctx, K, P.val) + _jk_lowered(ctx, K, P.val)
-    return reg.rel_residual(
-        nabla_2form(ctx, fix.nabla_star, Phi), nabla_2form(ctx, fix.lc, Phi) + S
-    )
-
-
-def _chk_bbb1(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    Phi = fundamental_form(ctx, P)
-    S = _kj_lowered(ctx, K, P.val) + _jk_lowered(ctx, K, P.val)
     lhs = nabla_2form(ctx, fix.nabla, Phi) - nabla_2form(ctx, fix.nabla_star, Phi)
-    return reg.rel_residual(lhs, -2.0 * S)
+    return reg.rel_residual(lhs, -2.0 * _kp_sym(ctx, _k_val(fix, ctx), P.val))
 
 
-def _gray_rhs_contact(fix, ctx) -> np.ndarray:
-    """The torsion-free part of 2 g((nabla0_X phi)Y, Z) for almost contact
-    metric structures: exterior block, normality block, and the eta-weighted
-    correction terms."""
-    ct = fix.contact
-    P = ct.phi(ctx)
-    Pv = P.val
-    eta = ct.eta(ctx)
-    ev = eta.val
-    Phi = fundamental_form(ctx, P)
-    dPhi = ext_d2(ctx, Phi)
-    dPhiPP = contract("...iml,...mj,...lk->...ijk", dPhi, Pv, Pv)
-    N1 = n1_tensor(ctx, ct)
-    N1PX = contract("...jkm,...li,...ml->...ijk", N1, Pv, ctx.g.val)
-    # N2[j][k] = (L_{phi E_j} eta)(E_k) - (L_{phi E_k} eta)(E_j)
-    M = np.stack(
-        [lie_covector(ctx, operator_column(P, j), eta) for j in range(ctx.dim)],
-        axis=-2,
-    )
-    N2 = M - tr(M)
-    deta = ext_d1(ctx, eta)
-    dEtaP = contract("...mi,...mj->...ij", deta, Pv)  # dEtaP[i][j] = deta(phi E_j, E_i)
-    rhs = np.subtract(dPhi, dPhiPP, out=dPhiPP)
-    rhs *= 3.0
-    rhs += N1PX
-    rhs += contract("...jk,...i->...ijk", N2, ev)
-    rhs += 2.0 * contract("...ij,...k->...ijk", dEtaP, ev)
-    rhs -= 2.0 * contract("...ik,...j->...ijk", dEtaP, ev)
-    return rhs
-
-
-def _chk_bb3(fix, ctx):
-    P, _ = _ac_parts(fix, ctx)
+def _chk_bb3(fix, ctx, P):
     lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.lc, P))
-    return reg.rel_residual(lhs, _gray_rhs_contact(fix, ctx))
-
-
-def _chk_bb4(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla, P))
-    rhs = _gray_rhs_contact(fix, ctx) + 2.0 * op_lower(ctx, op_commutator(K, P.val))
-    return reg.rel_residual(lhs, rhs)
-
-
-def _chk_bb5(fix, ctx):
-    P, K = _ac_parts(fix, ctx)
-    lhs = 2.0 * op_lower(ctx, nabla_operator(ctx, fix.nabla_star, P))
-    rhs = _gray_rhs_contact(fix, ctx) - 2.0 * op_lower(ctx, op_commutator(K, P.val))
-    return reg.rel_residual(lhs, rhs)
+    return reg.rel_residual(lhs, _gray_rhs_contact(fix, ctx, P))
 
 
 _BB_NOTE = (
@@ -665,22 +520,14 @@ _BB_NOTE = (
     "Lie block, and the eta-weighted deta terms, all sign-pinned numerically"
 )
 
-for _name, _fn in [
-    ("AC-AA3", _chk_aa3),
-    ("AC-AAB1", _chk_aab1),
-    ("AC-AAB2", _chk_aab2),
-    ("AC-AA4A", _chk_aa4a),
-    ("AC-AA5", _chk_aa5),
-    ("AC-BB1", _chk_bb1),
-    ("AC-BB2", _chk_bb2),
-    ("AC-BBB1", _chk_bbb1),
-    ("AC-BB3", _chk_bb3),
-    ("AC-BB4", _chk_bb4),
-    ("AC-BB5", _chk_bb5),
+for _names, _body, _note in [
+    ("AC-AA3", _chk_p_conjugate, None),
+    (("AC-AAB1", "AC-AAB2"), _chk_p_shift, None),
+    (("AC-AA4A", "AC-AA5"), _chk_form_op, None),
+    (("AC-BB1", "AC-BB2"), _chk_form_shift, None),
+    ("AC-BBB1", _chk_bbb1, None),
+    ("AC-BB3", _chk_bb3, _BB_NOTE),
+    (("AC-BB4", "AC-BB5"), functools.partial(_chk_gray, _gray_rhs_contact), _BB_NOTE),
 ]:
-    reg.register(
-        reg.CheckDef(
-            name=_name, suite="almost-contact", run=_fn, needs=("contact", "dual"),
-            annotate=_BB_NOTE if _name in ("AC-BB3", "AC-BB4", "AC-BB5") else None,
-        )
-    )
+    register_identity(_names, "almost-contact", _body, "contact",
+                      needs=("contact", "dual"), annotate=_note)

@@ -5,8 +5,11 @@ once and drops with its context.
 The files in tests/golden/ are the reports that the per-point implementation
 (one PointContext per sample point) wrote for each fixture at default
 sampling (n = 20, seed 42, tol 1e-9), with `render_json(build_report(...))`.
+The builtin reports must stay byte-identical to them; the two random-frame
+reports differ from them in the last bits of some residuals.
 """
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -22,7 +25,7 @@ from statgeo.connections import LeviCivita
 from statgeo.cosymplectic import BUILTIN_NAMES, builtin_fixture
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
 from statgeo.frame import Jet, PointContext
-from statgeo.report import build_report
+from statgeo.report import build_report, render_json
 from statgeo.structures import classify
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,6 +68,57 @@ def test_golden_report(name):
         for key in ("max_residual", "hypothesis_residual"):
             a, b = mine.get(key), old.get(key)
             assert close(a, b), (old["name"], key, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+def test_builtin_reports_are_byte_identical(name):
+    text = render_json(build_report(fixture(name), 20, 42, TOL))
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+# Checks whose identity on nabla*, with K replaced by -K, is the other's
+# identity on nabla: (the nabla side, the nabla* side).
+DUAL_PAIRS = [
+    ("AC-AAB1", "AC-AAB2"),
+    ("AC-AA4A", "AC-AA5"),
+    ("AC-BB1", "AC-BB2"),
+    ("AC-BB4", "AC-BB5"),
+    ("HERM-AZIZ2", "HERM-AZIZ3"),
+    ("HERM-AZIZ4", "HERM-AZIZ5"),
+    ("HERM-AZIZ5A", "HERM-AZIZ5B"),
+    ("HERM-AZIZ6", "HERM-AZIZY7"),
+    ("HERM-AZIZ8", "HERM-AZIZ9"),
+    ("HERM-AZIZ81", "HERM-AZIZ82"),
+    ("HERM-AZIZ10", "HERM-AZIZ11"),
+    ("COSYM-AFI-II", "COSYM-AFI-III"),
+    ("COSYM-AFI-V", "COSYM-AFI-VI"),
+    ("COSYM-KF1A", "COSYM-KF2A"),
+    ("COSYM-LKSI-II", "COSYM-LKSI-III"),
+    ("COSYM-DAZIZ1", "COSYM-DAZIZ2"),
+    ("KLEAVES-NABLA", "KLEAVES-NABLA-STAR"),
+    ("CURV-R0", "CURV-R00"),
+    ("DUAL-TORSION-NABLA", "DUAL-TORSION-NABLA-STAR"),
+]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_dual_checks_swap_with_the_pair(name):
+    # On the fixture with nabla and nabla* exchanged, K becomes -K up to
+    # rounding, so each check of a pair grades what the other grades on the
+    # original fixture.
+    fix = fixture(name)
+    swapped = dataclasses.replace(fix, nabla=fix.nabla_star, nabla_star=fix.nabla)
+    names = {n for pair in DUAL_PAIRS for n in pair}
+    assert names <= {c.name for c in reg.REGISTRY}
+    ctxs = fix.sample_contexts(20, 42)
+    mine = {r.name: r for r in reg.run_all(swapped, ctxs, TOL, names)}
+    ctxs = fix.sample_contexts(20, 42)
+    orig = {r.name: r for r in reg.run_all(fix, ctxs, TOL, names)}
+    for a, b in DUAL_PAIRS:
+        got, want = mine[a], orig[b]
+        assert got.status == want.status, (a, b, got.status, want.status)
+        assert close(got.max_residual, want.max_residual), (a, b)
+        assert close(got.hypothesis_residual, want.hypothesis_residual), (a, b)
 
 
 def _gates():

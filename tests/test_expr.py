@@ -1,6 +1,8 @@
 import math
 import random
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,18 +93,14 @@ def test_too_deep_expressions_are_expression_errors(text):
 def test_expressions_at_the_depth_cap_get_second_derivatives():
     # Quotients nest their second derivatives about six times deeper than
     # themselves, the most of any operator.  At the cap that is about 600
-    # levels, which the recursive routines must still walk.  Evaluating the
-    # quotient's own second derivative takes seconds (the tree shares
-    # subtrees that evaluation walks again), so a chain of the same depth
-    # stands in for it.
+    # levels, which the recursive routines must still walk: evaluation, and
+    # printing and parsing, for which a chain of the same depth stands in.
     cap = ex.MAX_DEPTH
-    quot = "t"
-    for _ in range(cap):
-        quot = f"t/({quot})"
-    e = parse(quot, COORDS)
+    e = parse(nested_quotient(cap), COORDS)
     assert ex.depth(e) == cap
     d2 = diff(diff(e, "t"), "t")
     assert 5 * cap < ex.depth(d2) <= 6 * cap
+    assert abs(eval_expr(d2, {"t": 0.7})) <= 1e-9  # the quotient is t
     chain = Var("t")
     for _ in range(ex.depth(d2)):
         chain = Sub(chain, Var("x"))
@@ -114,6 +112,54 @@ def test_expressions_at_the_depth_cap_get_second_derivatives():
              "(" * cap + "t" + ")" * cap]
     jet = ExprTable(texts, COORDS, second=True).jet2({"t": 1.0, "x": 0.0, "y": 0.0})
     assert jet.grad2[:, 0, 0].tolist() == [cap * (cap + 1), 0.0, 0.0]
+
+
+def nested_quotient(depth: int) -> str:
+    """t/(t/(...(t/(t))...)) with `depth` divisions."""
+    text = "t"
+    for _ in range(depth):
+        text = f"t/({text})"
+    return text
+
+
+def distinct_nodes(e) -> list:
+    """Every node of the tree e once, however often the tree holds it."""
+    seen, todo = {}, [e]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(getattr(node, f) for f in ("arg", "left", "right", "base")
+                        if hasattr(node, f))
+    return list(seen.values())
+
+
+def test_shared_subtrees_are_evaluated_once(monkeypatch):
+    # diff shares subtrees (the quotient rule holds the denominator three
+    # times, and Pow(denominator, 2) once); evaluation that walked each
+    # reference would call _real_pow once per reference, and evaluation that
+    # kept the value of every node, not just of the shared ones, would hold
+    # all of them at once (about 160 MB here)
+    d2 = diff(diff(parse(nested_quotient(49), COORDS), "t"), "t")
+    pows = [n for n in distinct_nodes(d2) if isinstance(n, Pow)]
+    calls, alive = [], [0, 0]  # weakrefs to the values made; alive now, most alive
+    real_pow = ex._real_pow
+
+    def dropped(_):
+        alive[0] -= 1
+
+    def counted(b, n):
+        r = real_pow(b, n)
+        calls.append(weakref.ref(r, dropped))
+        alive[0] += 1
+        alive[1] = max(alive)
+        return r
+
+    monkeypatch.setattr(ex, "_real_pow", counted)
+    v = eval_expr(d2, {"t": np.linspace(0.5, 2.0, 2000)})
+    assert len(calls) == len(pows) > 1000
+    assert alive[1] < len(pows) // 10
+    assert v.shape == (2000,) and np.max(np.abs(v)) <= 1e-9
 
 
 def test_power_exponent_must_be_numeric():
