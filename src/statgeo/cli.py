@@ -173,10 +173,7 @@ def resolve_fixture(args) -> tuple[Fixture, dict]:
     if args.builtin and args.spec:
         raise InputError("give either a spec file or --builtin, not both")
     if args.builtin:
-        try:
-            return builtin_fixture(args.builtin), {}
-        except (GeometryError, ex.ExprError) as e:
-            raise InputError(str(e)) from None
+        return builtin_fixture(args.builtin), {}
     if args.spec:
         return load_spec(args.spec)
     raise InputError("a spec file or --builtin NAME is required")
@@ -345,11 +342,8 @@ def _symbolic_gamma(base: Fixture):
 def cmd_product(args) -> int:
     base, _ = resolve_fixture(args)
     tol = args.tol if args.tol is not None else _env_tol()
-    try:
-        prod = product_construct(base, args.lam, tol=tol)
-        lam_expr = ex.parse(args.lam, ("t",))
-    except (GeometryError, ex.ExprError) as e:
-        raise InputError(str(e)) from None
+    prod = product_construct(base, args.lam, tol=tol)
+    lam_expr = ex.parse(args.lam, ("t",))
     gamma = _symbolic_gamma(base)
     if gamma is None:
         raise InputError(
@@ -434,10 +428,7 @@ def main(argv=None) -> int:
             "product": cmd_product,
         }[args.cmd]
         return handler(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (GeometryError, ex.ExprError) as e:
+    except (InputError, GeometryError, ex.ExprError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

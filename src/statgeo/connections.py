@@ -273,7 +273,8 @@ def check_dualistic(manifold: Manifold, nabla: AffineConnection,
 
 def _k_val(fix, ctx) -> np.ndarray:
     """The fixture's difference tensor K = nabla - nabla0, values only,
-    computed once per context (callers must not write into it)."""
+    computed once per context; the store keeps it read-only, so a write
+    into it raises."""
     return ctx.derived(_difference_val, fix.nabla, fix.lc)
 
 

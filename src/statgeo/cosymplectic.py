@@ -110,12 +110,18 @@ def _chk_afi_iv(fix, ctx):
     )
 
 
+def _xi_derivative_of_phi(fix, ctx, conn) -> np.ndarray:
+    """nabla_xi phi for one connection, as an operator table."""
+    ct = fix.contact
+    return contract("...i,...ikj->...kj", ct.xi(ctx).val, nabla_operator(ctx, conn, ct.phi(ctx)))
+
+
 def _chk_xi_derivative_of_phi(fix, ctx, side):
     # nabla_xi phi = phi A + A* phi, A for conn and A* for its dual
     conn, dual, _ = side
     P = fix.contact.phi(ctx)
     xi = fix.contact.xi(ctx)
-    lhs = contract("...i,...ikj->...kj", xi.val, nabla_operator(ctx, conn, P))
+    lhs = _xi_derivative_of_phi(fix, ctx, conn)
     return reg.rel_residual(lhs, P.val @ a_tensor(ctx, conn, xi) + a_tensor(ctx, dual, xi) @ P.val)
 
 
@@ -215,26 +221,24 @@ _LKSI_NOTE = (
 )
 
 _CD = ("contact", "dual")
-for _names, _body in [
-    ("COSYM-AFI-I", _chk_afi_i),
-    (("COSYM-AFI-II", "COSYM-AFI-III"), _chk_a_symmetric),
-    ("COSYM-AFI-IV", _chk_afi_iv),
-    (("COSYM-AFI-V", "COSYM-AFI-VI"), _chk_xi_derivative_of_phi),
-    ("COSYM-AFI-VII", _chk_afi_vii),
-    ("COSYM-AKSI", _chk_aksi),
-    ("COSYM-LKSI-I", _chk_lksi_i),
-    ("COSYM-DF1", _chk_df1),
-    ("COSYM-DF2", _chk_df2),
+_ACS = {"gate": gate_almost_cosymplectic}
+for _names, _body, _kw in [
+    ("COSYM-AFI-I", _chk_afi_i, _ACS),
+    (("COSYM-AFI-II", "COSYM-AFI-III"), _chk_a_symmetric, _ACS),
+    ("COSYM-AFI-IV", _chk_afi_iv, _ACS),
+    (("COSYM-AFI-V", "COSYM-AFI-VI"), _chk_xi_derivative_of_phi, _ACS),
+    ("COSYM-AFI-VII", _chk_afi_vii, _ACS),
+    ("COSYM-AKSI", _chk_aksi, _ACS),
+    ("COSYM-LKSI-I", _chk_lksi_i, _ACS),
+    ("COSYM-DF1", _chk_df1, _ACS),
+    ("COSYM-DF2", _chk_df2, _ACS),
+    (("COSYM-LKSI-II", "COSYM-LKSI-III"), _chk_eta_derivative, dict(_ACS, annotate=_LKSI_NOTE)),
+    (("COSYM-KF1A", "COSYM-KF2A"), _chk_form_cyclic, dict(_ACS, structure="contact")),
+    (("COSYM-DAZIZ1", "COSYM-DAZIZ2"), _chk_p_commutator,
+     {"structure": "contact", "gate": gate_cosymplectic}),
+    ("COSYM-DAZIZ3", _chk_daziz3, {"annotate": _daziz3_note}),
 ]:
-    register_identity(_names, "cosymplectic", _body, needs=_CD, gate=gate_almost_cosymplectic)
-register_identity(("COSYM-LKSI-II", "COSYM-LKSI-III"), "cosymplectic", _chk_eta_derivative,
-                  needs=_CD, gate=gate_almost_cosymplectic, annotate=_LKSI_NOTE)
-register_identity(("COSYM-KF1A", "COSYM-KF2A"), "cosymplectic", _chk_form_cyclic, "contact",
-                  needs=_CD, gate=gate_almost_cosymplectic)
-register_identity(("COSYM-DAZIZ1", "COSYM-DAZIZ2"), "cosymplectic", _chk_p_commutator,
-                  "contact", needs=_CD, gate=gate_cosymplectic)
-register_identity("COSYM-DAZIZ3", "cosymplectic", _chk_daziz3, needs=_CD,
-                  annotate=_daziz3_note)
+    register_identity(_names, "cosymplectic", _body, needs=_CD, **_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import registry as reg
 from .connections import AffineConnection, MeanConnection, _k_val
-from .cosymplectic import a_tensors, gate_almost_cosymplectic
+from .cosymplectic import _apply, _xi_derivative_of_phi, a_tensors, gate_almost_cosymplectic
 from .frame import Jet, contract, lie_operator, tr
 from .structures import almost_cosymplectic_residual, nabla_operator, register_identity
 
@@ -158,12 +158,6 @@ def _chk_r06(fix, ctx):
     return reg.rel_residual(h + hs, 2.0 * h0)
 
 
-def _xi_derivative_of_phi(fix, ctx, conn) -> np.ndarray:
-    P = fix.contact.phi(ctx)
-    xiv = fix.contact.xi(ctx).val
-    return contract("...i,...ikj->...kj", xiv, nabla_operator(ctx, conn, P))
-
-
 def _chk_klm(fix, ctx):
     P = fix.contact.phi(ctx).val
     A, As, _ = a_tensors(fix, ctx)
@@ -244,7 +238,7 @@ def gate_reeb_hypotheses(fix, ctxs, tol):
     r = max(
         almost_cosymplectic_residual(fix, ctxs),
         reg.abs_max(_k_xi_phi(fix, ctxs)),
-        reg.abs_max(contract("...ij,...j->...i", A, xiv)),
+        reg.abs_max(_apply(A, xiv)),
     )
     if r <= tol:
         return True, r, None

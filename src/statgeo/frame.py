@@ -30,18 +30,19 @@ Frame derivatives (PointContext.E, E_jet) do not go through `contract`:
 each is one np.matmul of the gradient, flattened to (entries, coordinates),
 with the context's contiguous F^T, written through a transposed view of a
 fresh result, so the gradient is never copied into another axis order.
-A context keeps its largest derived tables (Riemann tensors, shape operator
-jets, the difference tensor K and its negative -K) in a store that
-`PointContext.derived` fills on first use and that dies with the context.
+A context keeps one store, filled on first use by `PointContext.derived`
+and dropped with the context: expression jets, connection tables and
+derived tables (Riemann tensors, shape operator jets, the difference tensor
+K and -K).  Its arrays, and the context's own tables, are read-only.
 
 Memory per point: a multi-term sum is accumulated with in-place operators
 into the array its first term allocated (`out = E(T); out += ...`), so a
 sum of k terms allocates its k results and no partial sums.  In-place
 operators only ever write into an array that the same function has just
-allocated: connection tables, jets and store entries are shared by every
-check of a report.  Only the frame, the metric and xi are differentiated
-twice, so only their ExprTables build second-derivative trees and only
-their jets carry a second gradient; E_jet refuses every other jet.
+allocated; what a context keeps is shared by every check of a report and
+is read-only.  Only the frame, the metric and xi are differentiated twice,
+so only their ExprTables build second-derivative trees and only their jets
+carry a second gradient; E_jet refuses every other jet.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class Jet:
 
     +, - and scalar * build a new jet.  The in-place forms +=, -= and *=
     write into this jet's own arrays: use them only on a jet the calling
-    code has just built, never on a table a context keeps.
+    code has just built; a jet a context keeps is read-only.
     """
 
     __slots__ = ("val", "grad", "grad2")
@@ -457,8 +458,6 @@ class PointContext:
             raise GeometryError(f"point must have {self.dim} components")
         self.lead = self.x.shape[:-1]
         self.env = dict(zip(manifold.coords, np.moveaxis(self.x, -1, 0)))
-        self._tables: dict = {}
-        self._jets: dict = {}
         self._store: dict = {}
 
         self.F = self.table_jet(manifold.frame)
@@ -480,6 +479,7 @@ class PointContext:
         self.c = jet_einsum("...ija,...ak->...ijk", w, self.Finv)
 
         self.Eg = self.E_jet(self.g)  # Eg[k][i][j] = E_k(g_ij)
+        _freeze((self.F, self.FT, self.Finv, self.g, self.ginv, self.onb, self.c, self.Eg))
 
     def __len__(self) -> int:
         if self.x.ndim == 1:
@@ -529,34 +529,48 @@ class PointContext:
         return Jet(self.E(jet), grad.reshape(shape))
 
     def table_jet(self, table: ExprTable) -> Jet:
-        """Evaluate an ExprTable here, cached per table instance."""
-        jet = self._jets.get(table)
-        if jet is None:
-            try:
-                jet = table.jet2(self.env)
-            except ex.ExprDomainError as e:
-                raise ex.ExprDomainError(f"{e} at {_at(self.x, e.index or 0)}") from None
-            self._jets[table] = jet
-        return jet
+        """The jet of an ExprTable here, kept in the store per table instance."""
+        return self.derived(_table_jet, table)
 
     def connection_table(self, conn) -> tuple[np.ndarray, np.ndarray]:
-        """(G, dG) for a connection, cached per connection (connections that
+        """(G, dG) for a connection, kept in the store (connections that
         compare equal share an entry)."""
-        hit = self._tables.get(conn)
-        if hit is None:
-            hit = self._tables[conn] = conn.table(self)
-        return hit
+        return self.derived(_connection_table, conn)
 
     def derived(self, fn, *args):
-        """fn(self, *args), computed once per context and kept for its
-        lifetime; args are keys (connections and jets hash by identity).
-        fn must be a plain function: a stored result, like its key, holds
-        no reference back to the context."""
+        """fn(self, *args), computed once per context and kept in its one store
+        for its lifetime; args are keys (connections and jets hash by identity).
+        fn must be a plain function: a kept result, like its key, holds no
+        reference back to the context.  A kept result's arrays are read-only."""
         key = (fn,) + args
         hit = self._store.get(key)
         if hit is None:
-            hit = self._store[key] = fn(self, *args)
+            hit = self._store[key] = _freeze(fn(self, *args))
         return hit
+
+
+def _table_jet(ctx: PointContext, table: ExprTable) -> Jet:
+    try:
+        return table.jet2(ctx.env)
+    except ex.ExprDomainError as e:
+        raise ex.ExprDomainError(f"{e} at {_at(ctx.x, e.index or 0)}") from None
+
+
+def _connection_table(ctx: PointContext, conn) -> tuple[np.ndarray, np.ndarray]:
+    return conn.table(ctx)
+
+
+def _freeze(value):
+    """value, with every array it holds made read-only: an ndarray, a Jet's
+    arrays, or a tuple of those (a kept PointContext freezes its own)."""
+    if isinstance(value, Jet):
+        _freeze((value.val, value.grad, value.grad2))
+    elif isinstance(value, tuple):
+        for part in value:
+            _freeze(part)
+    elif isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    return value
 
 
 def _orthonormalizer(g: np.ndarray, x: np.ndarray) -> np.ndarray:

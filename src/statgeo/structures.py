@@ -235,6 +235,31 @@ def almost_cosymplectic_residual(fix, ctxs) -> float:
 
 
 # ---------------------------------------------------------------------------
+# one body per identity, over P and a side of the pair (see the module
+# docstring); the tables after each suite register the bodies by name
+
+
+def register_identity(names, suite: str, body, structure: str | None = None, **kw) -> None:
+    """Register body(fix, ctx, [P,] [side]).  With a structure ("contact" or
+    "hermitian"), its operator P comes first.  names is one name, or the
+    names of the nabla side and of the nabla* side for a body that also takes
+    a side (see `connections.register_pair`); kw go to every CheckDef."""
+    run = body if structure is None else _over_op(body, structure)
+    if isinstance(names, str):
+        reg.register(reg.CheckDef(name=names, suite=suite, run=run, **kw))
+    else:
+        register_pair(names, suite, run, **kw)
+
+
+def _over_op(body, structure: str):
+    def run(fix, ctx, *side):
+        P = fix.contact.phi(ctx) if structure == "contact" else fix.hermitian.J(ctx)
+        return body(fix, ctx, P, *side)
+
+    return run
+
+
+# ---------------------------------------------------------------------------
 # structure-tensor checks
 
 
@@ -285,46 +310,17 @@ def _chk_j_skew(fix, ctx):
     return reg.abs_max(Om + tr(Om))
 
 
-for _name, _fn in [
-    ("STRUCT-PHI-SQ", _chk_phi_sq),
-    ("STRUCT-ETA-XI", _chk_eta_xi),
-    ("STRUCT-COMPAT", _chk_compat),
-    ("STRUCT-ETA-METRIC", _chk_eta_metric),
-    ("STRUCT-PHI-XI", _chk_phi_xi),
-    ("STRUCT-ETA-PHI", _chk_eta_phi),
+for _name, _fn, _needs in [
+    ("STRUCT-PHI-SQ", _chk_phi_sq, ("contact",)),
+    ("STRUCT-ETA-XI", _chk_eta_xi, ("contact",)),
+    ("STRUCT-COMPAT", _chk_compat, ("contact",)),
+    ("STRUCT-ETA-METRIC", _chk_eta_metric, ("contact",)),
+    ("STRUCT-PHI-XI", _chk_phi_xi, ("contact",)),
+    ("STRUCT-ETA-PHI", _chk_eta_phi, ("contact",)),
+    ("STRUCT-J-SQ", _chk_j_sq, ("hermitian",)),
+    ("STRUCT-J-SKEW", _chk_j_skew, ("hermitian",)),
 ]:
-    reg.register(reg.CheckDef(name=_name, suite="structure", run=_fn, needs=("contact",)))
-
-for _name, _fn in [
-    ("STRUCT-J-SQ", _chk_j_sq),
-    ("STRUCT-J-SKEW", _chk_j_skew),
-]:
-    reg.register(reg.CheckDef(name=_name, suite="structure", run=_fn, needs=("hermitian",)))
-
-
-# ---------------------------------------------------------------------------
-# one body per identity, over P and a side of the pair (see the module
-# docstring); the tables after each suite register the bodies by name
-
-
-def register_identity(names, suite: str, body, structure: str | None = None, **kw) -> None:
-    """Register body(fix, ctx, [P,] [side]).  With a structure ("contact" or
-    "hermitian"), its operator P comes first.  names is one name, or the
-    names of the nabla side and of the nabla* side for a body that also takes
-    a side (see `connections.register_pair`); kw go to every CheckDef."""
-    run = body if structure is None else _over_op(body, structure)
-    if isinstance(names, str):
-        reg.register(reg.CheckDef(name=names, suite=suite, run=run, **kw))
-    else:
-        register_pair(names, suite, run, **kw)
-
-
-def _over_op(body, structure: str):
-    def run(fix, ctx, *side):
-        P = fix.contact.phi(ctx) if structure == "contact" else fix.hermitian.J(ctx)
-        return body(fix, ctx, P, *side)
-
-    return run
+    register_identity(_name, "structure", _fn, needs=_needs)
 
 
 def _kp_lowered(ctx, K, Pv):

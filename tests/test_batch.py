@@ -24,7 +24,7 @@ from statgeo.cli import fixture_from_doc
 from statgeo.connections import LeviCivita
 from statgeo.cosymplectic import BUILTIN_NAMES, builtin_fixture
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
-from statgeo.frame import Jet, PointContext
+from statgeo.frame import Jet, PointContext, _connection_table, _table_jet
 from statgeo.report import build_report, render_json
 from statgeo.structures import classify
 
@@ -209,7 +209,8 @@ def test_conjugation_check_keeps_no_connection():
     fix = builtin_fixture("dacko-variant-1")
     ctxs = fix.sample_contexts(5, 0)
     reg.run_all(fix, ctxs, TOL, names={c.name for c in reg.REGISTRY if c.suite == "dual"})
-    assert set(ctxs._tables) == {fix.nabla, fix.nabla_star, fix.lc}
+    kept = {args[0] for fn, *args in ctxs._store if fn is _connection_table}
+    assert kept == {fix.nabla, fix.nabla_star, fix.lc}
 
 
 def test_curvature_tables_built_once_per_connection(monkeypatch):
@@ -256,26 +257,49 @@ def _equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a, b)
 
 
+OWN_TABLES = ("F", "FT", "Finv", "g", "ginv", "onb", "c", "Eg")
+
+
 def stale_tables(ctx: PointContext) -> list:
-    """What a context keeps for the whole report (its own tables, expression
-    jets, connection tables and store entries) that differs from the same
-    thing computed afresh on a new context at the same points."""
+    """What a context keeps for the whole report (its own tables, and the
+    expression jets, connection tables and derived entries of its store)
+    that differs from the same thing computed afresh on a new context at the
+    same points.  A stale jet or connection table is named by its table or
+    connection, any other entry by its key."""
     fresh = PointContext(ctx.manifold, ctx.x)
-    stale = [name for name in ("F", "FT", "Finv", "g", "ginv", "onb", "c", "Eg")
+    stale = [name for name in OWN_TABLES
              if not _equal(getattr(ctx, name), getattr(fresh, name))]
-    jets = {}
-    for table, jet in ctx._jets.items():
-        jets[jet] = fresh.table_jet(table)
-        if not _equal(jet, jets[jet]):
-            stale.append(table)
-    for conn, tables in ctx._tables.items():
-        if not _equal(tables, fresh.connection_table(conn)):
-            stale.append(conn)
+    jets = {}  # a kept jet that keys a later entry -> its fresh counterpart
     for key, value in ctx._store.items():
         fn, *args = key
-        if not _equal(value, fresh.derived(fn, *[jets.get(a, a) for a in args])):
-            stale.append(key)
+        again = fresh.derived(fn, *[jets.get(a, a) for a in args])
+        if isinstance(value, Jet):
+            jets[value] = again
+        if not _equal(value, again):
+            stale.append(args[0] if fn in (_table_jet, _connection_table) else key)
     return stale
+
+
+def kept_arrays(ctx: PointContext) -> list:
+    """Every array a context keeps: its own tables and its store entries,
+    with those of a context its store holds."""
+    out = []
+
+    def walk(value):
+        if isinstance(value, PointContext):
+            out.extend(kept_arrays(value))
+        elif isinstance(value, Jet):
+            walk((value.val, value.grad, value.grad2))
+        elif isinstance(value, tuple):
+            for part in value:
+                walk(part)
+        elif isinstance(value, np.ndarray):
+            out.append(value)
+        else:
+            assert value is None, type(value)
+
+    walk(tuple(getattr(ctx, name) for name in OWN_TABLES) + tuple(ctx._store.values()))
+    return out
 
 
 def report_context(monkeypatch, fix) -> PointContext:
@@ -299,14 +323,32 @@ def test_report_leaves_shared_tables_unchanged(monkeypatch, name):
     # one written into a table the context keeps would change it for every
     # later check of the report.
     ctx = report_context(monkeypatch, fixture(name))
-    assert ctx._tables and ctx._jets and ctx._store
+    # expression jets, connection tables and derived entries, all in one store
+    assert {_table_jet, _connection_table} < {fn for fn, *_ in ctx._store}
     assert stale_tables(ctx) == []
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kept_tables_are_read_only(monkeypatch, name):
+    # a write into a table the context keeps raises at the write, instead of
+    # changing every later check of the report
+    ctx = report_context(monkeypatch, fixture(name))
+    if name == "product-flat":
+        assert any(isinstance(v, PointContext) for v in ctx._store.values())
+    arrays = kept_arrays(ctx)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
 
 
 def test_a_write_into_a_connection_table_is_seen(monkeypatch):
     fix = builtin_fixture("dacko-variant-1")
     ctx = report_context(monkeypatch, fix)
     G, _ = ctx.connection_table(fix.lc)
+    with pytest.raises(ValueError, match="read-only"):
+        G += 1e-12
+    G.flags.writeable = True
     G += 1e-12
     assert fix.lc in stale_tables(ctx)
 
