@@ -20,7 +20,6 @@ from .connections import (
     conjugate,
     difference_jet,
     dualistic_residual,
-    levi_civita,
     random_statistical,
     torsion,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "expr",
     "fundamental_form",
     "h_tensors",
-    "levi_civita",
     "n1_tensor",
     "nijenhuis",
     "product_construct",

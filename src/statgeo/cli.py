@@ -296,7 +296,7 @@ def _combo(coeffs) -> str:
 def cmd_table(args) -> int:
     fix, _ = resolve_fixture(args)
     mid = [0.5 * (lo + hi) for lo, hi in fix.box]
-    ctx = fix.manifold.context(mid)
+    ctx = fix.manifold.contexts([mid])
     which = args.which
     lines = [f"{which} for {fix.name} at " + ", ".join(
         f"{c} = {_fmt_coeff(v)}" for c, v in zip(fix.manifold.coords, mid)
@@ -312,7 +312,7 @@ def cmd_table(args) -> int:
             G, label = _k_val(fix, ctx), "K_{E_%d} E_%d"
         for i in range(ctx.dim):
             for j in range(ctx.dim):
-                lines.append(f"{label % (i, j)} = {_combo(G[i][j])}")
+                lines.append(f"{label % (i, j)} = {_combo(G[0, i, j])}")
     else:
         if not fix.has("contact"):
             raise InputError(f"table {which!r} needs a contact structure")
@@ -323,7 +323,7 @@ def cmd_table(args) -> int:
             op = h_tensors(fix, ctx)[1]
             label = "h E_%d"
         for i in range(ctx.dim):
-            lines.append(f"{label % i} = {_combo(op[:, i])}")
+            lines.append(f"{label % i} = {_combo(op[0, :, i])}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -90,17 +90,25 @@ class Conjugate(AffineConnection):
         self.base = base
 
     def table(self, ctx):
-        Gb = self.base.jet(ctx)
-        low = ctx.Eg - jet_einsum("...ikm,...mj->...ijk", Gb, ctx.g)
-        G = jet_einsum("...ijk,...kl->...ijl", low, ctx.ginv)
-        return G.val, G.grad
+        """Values from _conjugate_val; the gradient by the product rule, with
+        the contractions jet_einsum would make."""
+        Gb, dGb = ctx.connection_table(self.base)
+        g, ginv = ctx.g, ctx.ginv
+        low, G = _conjugate_val(ctx, Gb)
+        dlow = contract("...ikma,...mj->...ijka", dGb, g.val)
+        dlow += contract("...ikm,...mja->...ijka", Gb, g.grad)
+        dlow = ctx.Eg.grad - dlow
+        dG = contract("...ijka,...kl->...ijla", dlow, ginv.val)
+        dG += contract("...ijk,...kla->...ijla", low, ginv.grad)
+        return G, dG
 
 
-def _conjugate_val(ctx: PointContext, G: np.ndarray) -> np.ndarray:
-    """Values of the conjugate of a connection with value table G; the same
-    contractions as Conjugate.table, without gradients."""
+def _conjugate_val(ctx: PointContext, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate of a connection with value table G, values only:
+    (low, Gs) with low[i][j][k] = Eg[i][j][k] - G[i][k][m] g[m][j] and
+    Gs[i][j][l] = low[i][j][k] ginv[k][l]."""
     low = ctx.Eg.val - contract("...ikm,...mj->...ijk", G, ctx.g.val)
-    return contract("...ijk,...kl->...ijl", low, ctx.ginv.val)
+    return low, contract("...ijk,...kl->...ijl", low, ctx.ginv.val)
 
 
 class SymmetricCubic:
@@ -120,9 +128,6 @@ class SymmetricCubic:
         K = contract("ijl,...lk->...ijk", self.C, ctx.ginv.val)
         dK = contract("ijl,...lkg->...ijkg", self.C, ctx.ginv.grad)
         return K, dK
-
-    def jet(self, ctx) -> Jet:
-        return Jet(*self.table(ctx))
 
 
 class ShiftedConnection(AffineConnection):
@@ -201,15 +206,11 @@ class ProductConnection(AffineConnection):
 
 
 def _base_context(ctx: PointContext, base: Manifold) -> PointContext:
-    return base.context(ctx.x[..., 1:])
+    return base.contexts(ctx.x[..., 1:])
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def levi_civita() -> LeviCivita:
-    return LeviCivita()
 
 
 def conjugate(conn: AffineConnection) -> Conjugate:
@@ -369,7 +370,7 @@ def _chk_k5(fix, ctx):
 
 def _chk_conj_invol(fix, ctx):
     G = fix.nabla.jet(ctx).val
-    back = _conjugate_val(ctx, _conjugate_val(ctx, G))
+    back = _conjugate_val(ctx, _conjugate_val(ctx, G)[1])[1]
     return reg.rel_residual(back, G)
 
 

@@ -7,11 +7,11 @@ table (structure coefficients, frame derivatives of the metric, inverses)
 together with exact coordinate gradients, so covariant derivative tables
 never rely on numeric differencing.
 
-Every table of a context built on a batch of P points carries a leading
-point axis, shape (P, ...); a context built on one point has no such axis.
-The functions of the package accept either: every contraction goes through
+Every context is a batch: its points are a (P, dim) array, and every table
+it holds carries a leading point axis, shape (P, ...); a check at one point
+is a batch of one point.  Every contraction goes through
 `contract(spec, *ops)`, whose subscripts name the tensor axes after a
-leading `...` for the point axes (an operand without them is shared by all
+leading `...` for the point axis (an operand without it is shared by all
 points), and transposes act on the trailing (tensor) axes only.  Index
 conventions, written for the tensor axes:
 
@@ -248,9 +248,6 @@ class Jet:
     def __sub__(self, other: "Jet") -> "Jet":
         return Jet(self.val - other.val, self.grad - other.grad)
 
-    def __neg__(self) -> "Jet":
-        return Jet(-self.val, -self.grad)
-
     def __mul__(self, s: float) -> "Jet":
         return Jet(self.val * s, self.grad * s)
 
@@ -329,7 +326,7 @@ def jet_matinv(m: Jet, what: str, x: np.ndarray) -> Jet:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise GeometryError(
-            f"{what} at {_at(x, i)} is singular (det = {np.ravel(det)[i]:.3e})"
+            f"{what} at {_at(x, i)} is singular (det = {det[i]:.3e})"
         )
     inv = np.linalg.inv(m.val)
     grad = -contract("...ab,...bcg,...cd->...adg", inv, m.grad, inv)
@@ -354,7 +351,7 @@ class ExprTable:
     """Array of expressions with their derivative trees built once.
 
     Evaluation yields a Jet carrying the exact coordinate gradient of every
-    entry, at one point or over a batch of points.  Only a table built with
+    entry over a batch of points.  Only a table built with
     second=True (the frame, the metric and xi: the tables that get
     frame-differentiated twice) also builds second-derivative trees and
     carries the second gradient that PointContext.E_jet needs.
@@ -434,28 +431,26 @@ class Manifold:
         self.frame = ExprTable(frame, self.coords, shape=(n, n), second=True)
         self.metric = ExprTable(metric, self.coords, shape=(n, n), second=True)
 
-    def context(self, point) -> "PointContext":
-        """Tables at one point, without a point axis."""
-        return PointContext(self, point)
-
     def contexts(self, points) -> "PointContext":
-        """Tables at a batch of points, each with a leading point axis."""
-        return PointContext(self, np.atleast_2d(np.asarray(points, float)))
+        """Tables at a batch of points, each with a leading point axis; a
+        single point is the batch [point]."""
+        return PointContext(self, points)
 
 
 class PointContext:
-    """All frame tables materialised at one point, or at a batch of points.
+    """All frame tables materialised at a batch of points: x is (P, dim),
+    and every table has a leading point axis of length P.
 
     A batch is also a sequence of its points: len, iteration and indexing
-    give single-point contexts.
+    give batches of one point.
     """
 
     def __init__(self, manifold: Manifold, points):
         self.manifold = manifold
         self.dim = manifold.dim
         self.x = np.asarray(points, float)
-        if self.x.ndim not in (1, 2) or self.x.shape[-1] != self.dim:
-            raise GeometryError(f"point must have {self.dim} components")
+        if self.x.ndim != 2 or self.x.shape[-1] != self.dim:
+            raise GeometryError(f"points must be an array of shape (P, {self.dim})")
         self.lead = self.x.shape[:-1]
         self.env = dict(zip(manifold.coords, np.moveaxis(self.x, -1, 0)))
         self._store: dict = {}
@@ -482,23 +477,18 @@ class PointContext:
         _freeze((self.F, self.FT, self.Finv, self.g, self.ginv, self.onb, self.c, self.Eg))
 
     def __len__(self) -> int:
-        if self.x.ndim == 1:
-            raise TypeError("a single-point context has no length")
         return len(self.x)
 
-    def __getitem__(self, i) -> "PointContext":
-        if self.x.ndim == 1:
-            raise TypeError("a single-point context cannot be indexed")
-        return PointContext(self.manifold, self.x[i])
+    def __getitem__(self, i: int) -> "PointContext":
+        return PointContext(self.manifold, self.x[[i]])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def _flat(self, a: np.ndarray, extra: int) -> tuple[np.ndarray, tuple]:
-        """a with its tensor axes (all but the point axes and the `extra`
+        """a with its tensor axes (all but the point axis and the `extra`
         trailing gradient axes) merged into one, and their shape."""
-        nl = len(self.lead)
-        T = a.shape[nl : a.ndim - extra]
+        T = a.shape[1 : a.ndim - extra]
         return a.reshape(self.lead + (-1,) + a.shape[a.ndim - extra :]), T
 
     # frame derivative: values only
@@ -586,15 +576,9 @@ def _orthonormalizer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise GeometryError(f"metric is not positive definite at {_at(x, i)}") from None
 
 
-def _fmt_point(x: np.ndarray) -> str:
-    return "(" + ", ".join(f"{v:.4g}" for v in x) + ")"
-
-
 def _at(x: np.ndarray, i: int) -> str:
-    """Name point i of the batch x, or the single point x."""
-    if x.ndim == 1:
-        return _fmt_point(x)
-    return f"sample point {i} {_fmt_point(x[i])}"
+    """Name point i of the batch x."""
+    return f"sample point {i} (" + ", ".join(f"{v:.4g}" for v in x[i]) + ")"
 
 
 # ---------------------------------------------------------------------------

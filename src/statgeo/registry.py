@@ -57,7 +57,7 @@ class CheckDef:
     """One named identity.
 
     run: fn(fix, ctxs) -> float, the worst residual over the points of a
-        context (a batch, or a single point).
+        context (a batch of one or more points).
     gate: fn(fix, ctxs, tol) -> (ok, hypothesis_residual, note); when ok is
         False the check is not graded.  A report evaluates each distinct gate
         once.

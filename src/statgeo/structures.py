@@ -140,8 +140,9 @@ def op_anticommutator(K: np.ndarray, Pv: np.ndarray) -> np.ndarray:
 
 def op_lower(ctx, P: np.ndarray) -> np.ndarray:
     """Lowered operators: L[j][k] = g(P E_j, E_k) for an operator table
-    P[k][j], and T[i][j][k] = g(P_i E_j, E_k) for an [i][k][j] family."""
-    if P.ndim - len(ctx.lead) == 2:
+    P[k][j] (point, k, j), and T[i][j][k] = g(P_i E_j, E_k) for an [i][k][j]
+    family (point, i, k, j)."""
+    if P.ndim == 3:
         return contract("...mj,...mk->...jk", P, ctx.g.val)
     return contract("...imj,...mk->...ijk", P, ctx.g.val)
 

@@ -110,14 +110,14 @@ def test_criterion_4_reeb_curvature_on_variant_2(announce):
     rzz = 0.0
     ok = True
     for ctx in ctxs:
-        A, As, _ = a_tensors(fix, ctx)
-        xiv = fix.contact.xi(ctx).val
+        A, As, _ = (a[0] for a in a_tensors(fix, ctx))
+        xiv = fix.contact.xi(ctx).val[0]
         hyp = max(hyp, reg.abs_max(_k_xi_phi(fix, ctx)), reg.abs_max(A @ xiv))
         rzz = max(rzz, _chk_rzz(fix, ctx))
         # oracle: the direct frame curvature computation gives
         # S(xi,xi) = S*(xi,xi) = -2 (sum of R(E1,E0)E0 = -E1 and the twin),
         # and tr(A^2 + A*^2) = 4 from A = A* = diag(0,-1,1)
-        s = ricci(ctx, fix.nabla)[0, 0] + ricci(ctx, fix.nabla_star)[0, 0]
+        s = ricci(ctx, fix.nabla)[0, 0, 0] + ricci(ctx, fix.nabla_star)[0, 0, 0]
         tr = -np.trace(A @ A + As @ As)
         ok = ok and abs(s + 4.0) <= 1e-9 and abs(tr + 4.0) <= 1e-9 and abs(s - tr) <= 1e-9
     ok = ok and hyp <= 1e-12 and rzz <= 1e-9

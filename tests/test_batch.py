@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statgeo import connections, curvature
+from statgeo import connections, curvature, frame
 from statgeo import registry as reg
 from statgeo.cli import fixture_from_doc
 from statgeo.connections import LeviCivita
@@ -131,12 +131,13 @@ def _gates():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_batch_equals_max_over_points(name):
-    # A transpose that is right on one point but wrong with a point axis in
-    # front shows up as a batch residual that no single point reproduces.
+    # A slip that mixes the point axis into the tensor axes is invisible on
+    # a batch of one point and shows up as a batch residual that no batch of
+    # one reproduces.
     fix = fixture(name)
     batch = fix.sample_contexts(7, 3)
     points = list(batch)
-    assert len(points) == 7 and all(p.x.shape == (fix.manifold.dim,) for p in points)
+    assert len(points) == 7 and all(p.x.shape == (1, fix.manifold.dim) for p in points)
     for chk in reg.REGISTRY:
         if not all(fix.has(n) for n in chk.needs):
             continue
@@ -374,3 +375,31 @@ def test_difference_tensor_built_once_per_context(monkeypatch):
     calls = spy(monkeypatch, connections, "_difference_val")
     build_report(builtin_fixture("dacko-variant-1"), 20, 42, TOL)
     assert len(calls) == 1
+
+
+# Upper bounds on the work of a report, in contractions and frame
+# derivatives: they do not drift with the host, as times do.  A change that
+# cuts work lowers them.
+@pytest.mark.parametrize("names,n,contracts,derivatives", [
+    (FIXTURES, 20, 5461, 2156),
+    (["dacko-variant-1"], 2000, 671, 282),
+])
+def test_work_per_report_is_bounded(monkeypatch, names, n, contracts, derivatives):
+    # every `contract` looks up frame._plan, also from jet_einsum and E_jet
+    calls = {"contract": 0, "E": 0}
+    plan, E = frame._plan, PointContext.E
+
+    def counted_plan(*args):
+        calls["contract"] += 1
+        return plan(*args)
+
+    def counted_E(self, jet):
+        calls["E"] += 1
+        return E(self, jet)
+
+    monkeypatch.setattr(frame, "_plan", counted_plan)
+    monkeypatch.setattr(PointContext, "E", counted_E)
+    # fixture construction counts too: product-flat validates its base
+    for name in names:
+        build_report(fixture(name), n, 42, TOL)
+    assert calls["contract"] <= contracts and calls["E"] <= derivatives, calls

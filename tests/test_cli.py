@@ -299,6 +299,22 @@ def test_table_nonconstant_coefficient_formatting(capsys, tmp_path):
     assert "nabla_{E_0} E_0 = 0.30005 E_0" in out
 
 
+def test_table_domain_error_names_the_midpoint_as_sample_point_0(capsys, tmp_path):
+    # the table is a batch of one point, the box midpoint (0, 0.5), where 1/t
+    # divides by zero
+    doc = {
+        "dim": 2,
+        "coords": ["t", "x"],
+        "frame": [["1/t", "0"], ["0", "1"]],
+        "metric": [["1", "0"], ["0", "1"]],
+        "connections": {"random_K_seed": 1},
+        "sampling": {"box": [[-1, 1], [0, 1]]},
+    }
+    code, out, err = run(capsys, "table", write_spec(tmp_path, doc), "nabla")
+    assert code == 2 and out == ""
+    assert err == "error: division by zero at sample point 0 (0, 0.5)\n"
+
+
 def test_product_lambda_zero_matches_flat_builtin(capsys, tmp_path):
     out_path = tmp_path / "prod.json"
     code, msg, _ = run(

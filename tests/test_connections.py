@@ -85,7 +85,7 @@ def test_levi_civita_on_warped_frame():
     want[1, 0, 1] = 1
     want[2, 2, 0] = 1
     want[2, 0, 2] = -1
-    ctx = WARPED.context([0.7, -0.2, 0.4])
+    ctx = WARPED.contexts([[0.7, -0.2, 0.4]])
     G0 = LeviCivita().jet(ctx).val
     assert np.max(np.abs(G0 - want)) <= 1e-12
 
@@ -95,7 +95,7 @@ def test_levi_civita_coordinate_oracle():
     # are G[0,1,1] = G[1,0,1] = 1 and G[1,1,0] = -e^{2t}
     m = Manifold(COORDS3, np.eye(3).tolist(), [[1, 0, 0], [0, "exp(2*t)", 0], [0, 0, 1]])
     t = 0.3
-    ctx = m.context([t, 0.1, -0.5])
+    ctx = m.contexts([[t, 0.1, -0.5]])
     G0 = LeviCivita().jet(ctx).val
     want = np.zeros((3, 3, 3))
     want[0, 1, 1] = 1.0
@@ -112,13 +112,13 @@ def test_levi_civita_gradient_matches_finite_differences():
     )
     lc = LeviCivita()
     x0 = np.array([0.2, -0.4, 0.6])
-    dG = lc.jet(m.context(x0)).grad
+    dG = lc.jet(m.contexts([x0])).grad
     h = 1e-6
     for b in range(3):
         hi, lo = x0.copy(), x0.copy()
         hi[b] += h
         lo[b] -= h
-        fd = (lc.jet(m.context(hi)).val - lc.jet(m.context(lo)).val) / (2 * h)
+        fd = (lc.jet(m.contexts([hi])).val - lc.jet(m.contexts([lo])).val) / (2 * h)
         assert np.max(np.abs(dG[..., b] - fd)) <= 1e-6
 
 
@@ -130,13 +130,14 @@ def test_metric_connection_properties():
     )
     lc = LeviCivita()
     for pt in sample_points(3, BOX3, 8, seed=11):
-        ctx = m.context(pt)
+        ctx = m.contexts([pt])
         assert np.max(np.abs(torsion(ctx, lc))) <= 1e-12
-        G0 = lc.jet(ctx).val
+        G0 = lc.jet(ctx).val[0]
+        g = ctx.g.val[0]
         nabla_g = (
-            ctx.Eg.val
-            - np.einsum("ijm,mk->ijk", G0, ctx.g.val)
-            - np.einsum("ikm,jm->ijk", G0, ctx.g.val)
+            ctx.Eg.val[0]
+            - np.einsum("ijm,mk->ijk", G0, g)
+            - np.einsum("ikm,jm->ijk", G0, g)
         )
         assert np.max(np.abs(nabla_g)) <= 1e-12
         # a metric connection is self-conjugate
@@ -151,7 +152,7 @@ def test_conjugate_of_known_pair():
     G, Gs = warped_pair()
     got = Conjugate(expr_conn(G))
     for pt in sample_points(3, BOX3, 10, seed=5):
-        ctx = WARPED.context(pt)
+        ctx = WARPED.contexts([pt])
         assert np.max(np.abs(got.jet(ctx).val - Gs)) <= 1e-12
 
 
@@ -160,7 +161,7 @@ def test_conjugation_is_an_involution():
     nabla = expr_conn(G)
     back = Conjugate(Conjugate(nabla))
     for pt in sample_points(3, BOX3, 10, seed=6):
-        ctx = WARPED.context(pt)
+        ctx = WARPED.contexts([pt])
         assert np.max(np.abs(back.jet(ctx).val - G)) <= 1e-12
 
 
@@ -193,10 +194,10 @@ def test_difference_tensor_of_known_pair():
     want[2, 0, 1] = 1
     want[0, 0, 0] = 1
     G, _ = warped_pair()
-    ctx = WARPED.context([0.1, 0.9, -0.6])
+    ctx = WARPED.contexts([[0.1, 0.9, -0.6]])
     K = difference_jet(ctx, expr_conn(G), LeviCivita())
     assert np.max(np.abs(K.val - want)) <= 1e-12
-    C = lower(ctx, K.val)
+    C = lower(ctx, K.val)[0]
     for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
         assert np.max(np.abs(C - C.transpose(perm))) <= 1e-12
 
@@ -214,12 +215,12 @@ def test_random_statistical_pair_is_statistical(seed):
     )
     nabla, nabla_star = random_statistical(m, seed)
     for pt in sample_points(3, BOX3, 5, seed=1000 + seed):
-        ctx = m.context(pt)
+        ctx = m.contexts([pt])
         assert dualistic_residual(ctx, nabla, nabla_star) <= 1e-9
         assert np.max(np.abs(torsion(ctx, nabla))) <= 1e-12
         assert np.max(np.abs(torsion(ctx, nabla_star))) <= 1e-12
         K = difference_jet(ctx, nabla, LeviCivita())
-        assert np.max(np.abs(K.val - K.val.transpose(1, 0, 2))) <= 1e-12
+        assert np.max(np.abs(K.val[0] - K.val[0].transpose(1, 0, 2))) <= 1e-12
         Ks = difference_jet(ctx, nabla_star, LeviCivita())
         assert np.max(np.abs(K.val + Ks.val)) <= 1e-12
 
@@ -260,5 +261,5 @@ def test_conjugate_against_nonflat_metric():
     nabla, nabla_star = random_statistical(m, 3)
     star2 = conjugate(nabla)
     for pt in sample_points(3, BOX3, 6, seed=8):
-        ctx = m.context(pt)
+        ctx = m.contexts([pt])
         assert np.max(np.abs(star2.jet(ctx).val - nabla_star.jet(ctx).val)) <= 1e-10

@@ -34,7 +34,7 @@ def run_suite(fix, n_points=8, seed=7, tol=1e-9):
 def test_a_tensor_columns_variant_1():
     fix = builtin_fixture("dacko-variant-1")
     ctx = fix.sample_contexts(1, 0)[0]
-    A, As, A0 = a_tensors(fix, ctx)
+    A, As, A0 = (a[0] for a in a_tensors(fix, ctx))
     np.testing.assert_allclose(A[:, 0], [-1, 0, 0], atol=1e-14)
     np.testing.assert_allclose(A[:, 1], [0, -1, -1], atol=1e-14)
     np.testing.assert_allclose(A[:, 2], [0, -1, 1], atol=1e-14)
@@ -48,7 +48,7 @@ def test_a_tensor_columns_variant_1():
 def test_a_tensor_variant_2_split():
     fix = builtin_fixture("dacko-variant-2")
     ctx = fix.sample_contexts(1, 3)[0]
-    A, As, _ = a_tensors(fix, ctx)
+    A, As, _ = (a[0] for a in a_tensors(fix, ctx))
     np.testing.assert_allclose(A, np.diag([0.0, -1.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(As, A, atol=1e-14)
     assert abs(np.trace(A @ A) + np.trace(As @ As) - 4.0) < 1e-12
@@ -124,8 +124,8 @@ def test_product_with_varying_lambda():
     assert flags["almost_cosymplectic"] and flags["cosymplectic"]
     assert not flags["contact_metric"]
     ctx = ctxs[0]
-    A, As, _ = a_tensors(fix, ctx)
-    lam = np.sin(ctx.x[0])
+    A, As, _ = (a[0] for a in a_tensors(fix, ctx))
+    lam = np.sin(ctx.x[0, 0])
     np.testing.assert_allclose(A @ [1, 0, 0], [-lam, 0, 0], atol=1e-12)
     np.testing.assert_allclose(As @ [1, 0, 0], [lam, 0, 0], atol=1e-12)
     res = run_suite(fix)

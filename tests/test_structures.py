@@ -60,7 +60,7 @@ def test_normality_tensor_slots_on_dacko():
     N^(1)(E0,E2) = -2E2."""
     fix = builtin_base("dacko-variant-1")
     (ctx,) = fix.sample_contexts(1, 0)
-    N1 = n1_tensor(ctx, fix.contact)
+    N1 = n1_tensor(ctx, fix.contact)[0]
     assert np.allclose(N1[0, 1], [0.0, 2.0, 0.0], atol=1e-12)
     assert np.allclose(N1[0, 2], [0.0, 0.0, -2.0], atol=1e-12)
     assert np.allclose(N1[1, 2], 0.0, atol=1e-12)
@@ -69,7 +69,7 @@ def test_normality_tensor_slots_on_dacko():
 def test_nijenhuis_heisenberg_pair():
     fix = builtin_base("heisenberg-almost-kaehler")
     (ctx,) = fix.sample_contexts(1, 1)
-    N = nijenhuis(ctx, fix.hermitian.J(ctx))
+    N = nijenhuis(ctx, fix.hermitian.J(ctx))[0]
     # the only bracket is [E1,E2] = E3 and J decouples it from its J-image
     assert np.allclose(N[0, 1], [0.0, 0.0, -1.0, 0.0], atol=1e-12)
 
@@ -103,10 +103,10 @@ def test_operator_and_form_derivatives_agree_for_metric_connection(name):
 
 @pytest.mark.parametrize("points", [None, 3, 5])
 def test_op_lower_takes_an_operator_or_a_family(points):
-    # a batch of 3 points on a 3-manifold has operator tables of the shape
-    # of a single point's family: the context's point axes tell them apart
+    # every table has one point axis, so the rank tells an operator from a
+    # family, also on a batch of 3 points on a 3-manifold (None: one point)
     fix = builtin_base("dacko-variant-1")
-    ctx = fix.manifold.context([0.1, 0.2, 0.3]) if points is None else fix.sample_contexts(points, 1)
+    ctx = fix.manifold.contexts([[0.1, 0.2, 0.3]]) if points is None else fix.sample_contexts(points, 1)
     rng = np.random.default_rng(0)
     P = rng.standard_normal(ctx.lead + (3, 3))
     NP = rng.standard_normal(ctx.lead + (3, 3, 3))
