@@ -140,12 +140,8 @@ class ShiftedConnection(AffineConnection):
 
     def table(self, ctx):
         Gb, dGb = ctx.connection_table(self.base)
-        K, dK = self.cubic.table(ctx)  # fresh arrays, turned into the result
-        K *= self.sign
-        K += Gb
-        dK *= self.sign
-        dK += dGb
-        return K, dK
+        K, dK = self.cubic.table(ctx)
+        return self.sign * K + Gb, self.sign * dK + dGb
 
 
 class MeanConnection(AffineConnection):

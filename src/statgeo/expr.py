@@ -473,34 +473,49 @@ def _fmt_num(v: float) -> str:
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact symbolic derivative of e with respect to the coordinate `var`."""
+    """Exact symbolic derivative of e with respect to the coordinate `var`.
+
+    A subtree that e holds more than once (a derivative tree reuses its
+    operands) is differentiated once per call, and every reference gets the
+    same derivative node, so the derivative of a tree stays linear in its
+    distinct nodes and a second derivative stays linear in the input.
+    """
+    return _diff(e, var, {})
+
+
+def _diff(e: Expr, var: str, memo: dict) -> Expr:
+    """diff with a memo of the derivative of each operator node, keyed by
+    id(node) (e keeps every node, and so every id, alive for the call)."""
     if isinstance(e, Num):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == var else ZERO
+    d = memo.get(id(e))
+    if d is not None:
+        return d
     if isinstance(e, Neg):
-        return neg(diff(e.arg, var))
-    if isinstance(e, Add):
-        return add(diff(e.left, var), diff(e.right, var))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, var), diff(e.right, var))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, var), e.right), mul(e.left, diff(e.right, var)))
-    if isinstance(e, Div):
+        d = neg(_diff(e.arg, var, memo))
+    elif isinstance(e, Add):
+        d = add(_diff(e.left, var, memo), _diff(e.right, var, memo))
+    elif isinstance(e, Sub):
+        d = sub(_diff(e.left, var, memo), _diff(e.right, var, memo))
+    elif isinstance(e, Mul):
+        d = add(mul(_diff(e.left, var, memo), e.right), mul(e.left, _diff(e.right, var, memo)))
+    elif isinstance(e, Div):
         num = sub(
-            mul(diff(e.left, var), e.right), mul(e.left, diff(e.right, var))
+            mul(_diff(e.left, var, memo), e.right), mul(e.left, _diff(e.right, var, memo))
         )
-        return div(num, Pow(e.right, 2.0))
-    if isinstance(e, Pow):
-        return mul(
-            mul(Num(e.exponent), pow_(e.base, e.exponent - 1.0)), diff(e.base, var)
+        d = div(num, Pow(e.right, 2.0))
+    elif isinstance(e, Pow):
+        d = mul(
+            mul(Num(e.exponent), pow_(e.base, e.exponent - 1.0)), _diff(e.base, var, memo)
         )
-    if isinstance(e, Call):
-        inner = diff(e.arg, var)
+    elif isinstance(e, Call) and e.fn == "log":
+        d = div(_diff(e.arg, var, memo), e.arg)
+    elif isinstance(e, Call):
+        inner = _diff(e.arg, var, memo)
         if e.fn == "exp":
             outer: Expr = Call("exp", e.arg)
-        elif e.fn == "log":
-            return div(inner, e.arg)
         elif e.fn == "sin":
             outer = Call("cos", e.arg)
         elif e.fn == "cos":
@@ -511,8 +526,11 @@ def diff(e: Expr, var: str) -> Expr:
             outer = Call("sinh", e.arg)
         else:
             raise ExprNameError(f"unknown function {e.fn!r}")
-        return mul(outer, inner)
-    raise TypeError(f"not an Expr: {e!r}")
+        d = mul(outer, inner)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[id(e)] = d
+    return d
 
 
 def _domain(bad, template: str, *values) -> None:

@@ -8,12 +8,16 @@ together with exact coordinate gradients, so covariant derivative tables
 never rely on numeric differencing.
 
 Every context is a batch: its points are a (P, dim) array, and every table
-it holds carries a leading point axis, shape (P, ...); a check at one point
-is a batch of one point.  Every contraction goes through
-`contract(spec, *ops)`, whose subscripts name the tensor axes after a
-leading `...` for the point axis (an operand without it is shared by all
-points), and transposes act on the trailing (tensor) axes only.  Index
-conventions, written for the tensor axes:
+it holds carries a leading point axis, of shape (P, ...), or (1, ...) when
+the table is the same at every point; a check at one point is a batch of one
+point.  An ExprTable decides that once, from its expressions alone: it is
+constant when every entry is a number, and then its jet has a length-1
+point axis.  Every consumer broadcasts such a table: every contraction goes
+through `contract(spec, *ops)`, whose subscripts name the tensor axes after
+a leading `...` for the point axis (an operand without it, or with a
+length-1 one, is shared by all points, and a pairwise step against it is
+one matrix product with no batch axis), and transposes act on the trailing
+(tensor) axes only.  Index conventions, written for the tensor axes:
 
     F[i][a]      E_i = sum_a F[i][a] d/dx^a
     Finv[a][i]   d/dx^a = sum_i Finv[a][i] E_i
@@ -30,6 +34,8 @@ Frame derivatives (PointContext.E, E_jet) do not go through `contract`:
 each is one np.matmul of the gradient, flattened to (entries, coordinates),
 with the context's contiguous F^T, written through a transposed view of a
 fresh result, so the gradient is never copied into another axis order.
+They always return (P, ...) tables, also for a constant operand, so a sum
+built into one takes terms of either shape.
 A context keeps one store, filled on first use by `PointContext.derived`
 and dropped with the context: expression jets, connection tables and
 derived tables (Riemann tensors, shape operator jets, the difference tensor
@@ -39,10 +45,14 @@ Memory per point: a multi-term sum is accumulated with in-place operators
 into the array its first term allocated (`out = E(T); out += ...`), so a
 sum of k terms allocates its k results and no partial sums.  In-place
 operators only ever write into an array that the same function has just
-allocated; what a context keeps is shared by every check of a report and
-is read-only.  Only the frame, the metric and xi are differentiated twice,
-so only their ExprTables build second-derivative trees and only their jets
-carry a second gradient; E_jet refuses every other jet.
+allocated, at the shape of the whole sum (a sum whose later terms can be
+wider than its first is formed out of place); what a context keeps is
+shared by every check of a report and is read-only.  Only the frame, the
+metric and xi are differentiated twice, so only their ExprTables build
+second-derivative trees.  The second gradients of the frame and the metric
+form c and Eg while the context is set up and are not kept; xi's jet is
+the only kept one that carries a second gradient, and E_jet refuses every
+other jet.
 """
 
 from __future__ import annotations
@@ -292,8 +302,10 @@ def jet_einsum(spec: str, *ops) -> Jet:
         term = contract(spec_p, *args)  # a fresh array: later terms add into it
         if grad is None:
             grad = term
-        else:
+        elif grad.shape == np.broadcast_shapes(grad.shape, term.shape):
             grad += term
+        else:  # wider than the terms so far, as against a constant first term
+            grad = grad + term
     return Jet(contract(spec, *vals), grad)
 
 
@@ -364,6 +376,8 @@ class ExprTable:
         if shape is not None and arr.shape != shape:
             raise GeometryError(f"expected table of shape {shape}, got {arr.shape}")
         self.exprs = arr
+        # the same at every point: its jet has a length-1 point axis
+        self.constant = all(isinstance(e, ex.Num) for e in arr.flat)
         m = len(self.coords)
         self.d1 = np.empty(arr.shape + (m,), dtype=object)
         self.d2 = np.empty(arr.shape + (m, m), dtype=object) if second else None
@@ -389,6 +403,8 @@ class ExprTable:
         offending point comes first.
         """
         lead = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        if self.constant:
+            lead = (1,) * len(lead)
         first = None
         tables = []
         for arr in (self.exprs, self.d1) + (() if self.d2 is None else (self.d2,)):
@@ -439,7 +455,10 @@ class Manifold:
 
 class PointContext:
     """All frame tables materialised at a batch of points: x is (P, dim),
-    and every table has a leading point axis of length P.
+    and every table has a leading point axis: of length P, or of length 1
+    when the table is the same at every point (a constant metric, and the
+    jet of every ExprTable whose entries are all numbers).  The frame and
+    the metric jets are kept without their second gradients.
 
     A batch is also a sequence of its points: len, iteration and indexing
     give batches of one point.
@@ -455,11 +474,16 @@ class PointContext:
         self.env = dict(zip(manifold.coords, np.moveaxis(self.x, -1, 0)))
         self._store: dict = {}
 
-        self.F = self.table_jet(manifold.frame)
-        self.FT = np.ascontiguousarray(tr(self.F.val))  # FT[a][i] = F[i][a]
+        # the second gradients of the frame and the metric are read only
+        # here, to form c and Eg: they are evaluated outside the store, and
+        # the context keeps both jets without them
+        F2 = _table_jet(self, manifold.frame)
+        self.F = Jet(F2.val, F2.grad)
+        self.FT = np.ascontiguousarray(tr(F2.val))  # FT[a][i] = F[i][a]
         self.Finv = jet_matinv(self.F, "frame", self.x)
-        self.g = self.table_jet(manifold.metric)
-        g = self.g.val
+        g2 = _table_jet(self, manifold.metric)
+        self.g = Jet(g2.val, g2.grad)
+        g = g2.val
         asym = np.max(np.abs(g - tr(g)), axis=(-2, -1))
         bad = asym > 1e-12 * (1.0 + np.max(np.abs(g), axis=(-2, -1)))
         if np.any(bad):
@@ -469,11 +493,11 @@ class PointContext:
         self.onb = _orthonormalizer(g, self.x)
 
         # structure coefficients from the frame's coordinate expansion
-        EF = self.E_jet(self.F)  # EF[i][j][a] = E_i(F[j][a])
+        EF = self.E_jet(F2)  # EF[i][j][a] = E_i(F[j][a])
         w = EF - EF.t(1, 0, 2)
         self.c = jet_einsum("...ija,...ak->...ijk", w, self.Finv)
 
-        self.Eg = self.E_jet(self.g)  # Eg[k][i][j] = E_k(g_ij)
+        self.Eg = self.E_jet(g2)  # Eg[k][i][j] = E_k(g_ij)
         _freeze((self.F, self.FT, self.Finv, self.g, self.ginv, self.onb, self.c, self.Eg))
 
     def __len__(self) -> int:
@@ -489,7 +513,7 @@ class PointContext:
         """a with its tensor axes (all but the point axis and the `extra`
         trailing gradient axes) merged into one, and their shape."""
         T = a.shape[1 : a.ndim - extra]
-        return a.reshape(self.lead + (-1,) + a.shape[a.ndim - extra :]), T
+        return a.reshape(a.shape[:1] + (-1,) + a.shape[a.ndim - extra :]), T
 
     # frame derivative: values only
     def E(self, jet: Jet) -> np.ndarray:

@@ -24,9 +24,9 @@ from statgeo.cli import fixture_from_doc
 from statgeo.connections import LeviCivita
 from statgeo.cosymplectic import BUILTIN_NAMES, builtin_fixture
 from statgeo.fixtures import random_contact_frame, random_hermitian_frame
-from statgeo.frame import Jet, PointContext, _connection_table, _table_jet
+from statgeo.frame import Jet, PointContext, _connection_table, _table_jet, contract
 from statgeo.report import build_report, render_json
-from statgeo.structures import classify
+from statgeo.structures import classify, nabla_operator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = sorted(BUILTIN_NAMES) + ["random-contact-0", "random-hermitian-0"]
@@ -281,22 +281,23 @@ def stale_tables(ctx: PointContext) -> list:
     return stale
 
 
-def kept_arrays(ctx: PointContext) -> list:
-    """Every array a context keeps: its own tables and its store entries,
-    with those of a context its store holds."""
+def kept(ctx: PointContext, kind) -> list:
+    """Every object of type kind (a Jet, or an ndarray) that a context keeps:
+    in its own tables and its store entries, with those of a context its
+    store holds."""
     out = []
 
     def walk(value):
+        if isinstance(value, kind):
+            out.append(value)
         if isinstance(value, PointContext):
-            out.extend(kept_arrays(value))
+            out.extend(kept(value, kind))
         elif isinstance(value, Jet):
             walk((value.val, value.grad, value.grad2))
         elif isinstance(value, tuple):
             for part in value:
                 walk(part)
-        elif isinstance(value, np.ndarray):
-            out.append(value)
-        else:
+        elif not isinstance(value, np.ndarray):
             assert value is None, type(value)
 
     walk(tuple(getattr(ctx, name) for name in OWN_TABLES) + tuple(ctx._store.values()))
@@ -336,7 +337,7 @@ def test_kept_tables_are_read_only(monkeypatch, name):
     ctx = report_context(monkeypatch, fixture(name))
     if name == "product-flat":
         assert any(isinstance(v, PointContext) for v in ctx._store.values())
-    arrays = kept_arrays(ctx)
+    arrays = kept(ctx, np.ndarray)
     assert arrays and not any(a.flags.writeable for a in arrays)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -369,6 +370,39 @@ def test_second_gradients_only_where_they_are_read():
     with pytest.raises(ValueError, match="second gradient"):
         hctx.E_jet(herm.hermitian.J(hctx))
     assert ctx.E_jet(ct.xi(ctx)).grad.shape == (3, 3, 3, 3)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_second_gradients_end_with_set_up(monkeypatch, name):
+    # the frame's and the metric's second gradients form c and Eg in
+    # PointContext.__init__ and are read nowhere else: after a report, xi's
+    # jet is the only one the context still keeps with a second gradient
+    fix = fixture(name)
+    ctx = report_context(monkeypatch, fix)
+    with_grad2 = [j for j in kept(ctx, Jet) if j.grad2 is not None]
+    if fix.has("contact"):
+        assert with_grad2 == [fix.contact.xi(ctx)]
+    else:
+        assert with_grad2 == []
+    for jet in (ctx.F, ctx.g):
+        with pytest.raises(ValueError, match="second gradient"):
+            ctx.E_jet(jet)
+
+
+def test_point_invariant_operands_keep_a_length_1_point_axis():
+    # on dacko-variant-1 phi and the explicit connection tables are numbers:
+    # they and G . P carry a point axis of length 1, and only what meets a
+    # table that varies (the frame, c, Levi-Civita) broadcasts to the batch
+    fix = builtin_fixture("dacko-variant-1")
+    ctx = fix.sample_contexts(20, 42)
+    P = fix.contact.phi(ctx).val
+    G = fix.nabla.jet(ctx).val
+    assert P.shape == (1, 3, 3) and G.shape == (1, 3, 3, 3)
+    assert ctx.g.val.shape == ctx.ginv.val.shape == (1, 3, 3)
+    assert contract("...mj,...imk->...ikj", P, G).shape == (1, 3, 3, 3)
+    assert ctx.F.val.shape == (20, 3, 3) and fix.lc.jet(ctx).val.shape == (20, 3, 3, 3)
+    assert ctx.E(fix.contact.phi(ctx)).shape == (20, 3, 3, 3)
+    assert nabla_operator(ctx, fix.nabla, fix.contact.phi(ctx)).shape == (20, 3, 3, 3)
 
 
 def test_difference_tensor_built_once_per_context(monkeypatch):

@@ -102,6 +102,35 @@ def test_contract_matches_einsum(spec):
             assert close(contract(spec, *ops), want), "replaying the cached plan"
 
 
+@pytest.mark.parametrize("spec", SPECS)
+def test_a_length_1_operand_equals_its_broadcast(spec):
+    # an operand that is the same at every point carries a point axis of
+    # length 1; against a batch it must give what its broadcast copy gives
+    rng = np.random.default_rng(zlib.crc32(spec.encode()) + 1)
+    letters = sorted(set(spec) - set(".,->"))
+    sizes = {c: 2 + k % 3 for k, c in enumerate(letters)}
+    ins = spec.split("->")[0].split(",")
+    k = len(ins)
+    for p in (q for q, t in enumerate(ins) if "..." in t):
+        ops = operands(spec, rng, sizes, [(1,) if q == p else (7,) for q in range(k)])
+        wide = list(ops)
+        wide[p] = np.broadcast_to(ops[p], (7,) + ops[p].shape[1:]).copy()
+        got, want = contract(spec, *ops), contract(spec, *wide)
+        # it stays length 1 where no other operand has a point axis
+        alone = sum("..." in t for t in ins) == 1
+        assert got.shape == ((1,) if alone else (7,)) + want.shape[1:]
+        got = np.broadcast_to(got, want.shape)
+        assert close(got, want) and close(got, np.einsum(spec, *wide)), (spec, p)
+
+
+def test_a_step_against_a_length_1_operand_is_one_gemm():
+    # a size-1 point axis is no batch axis: the batch folds into the free rows
+    step = frame._plan("...ij,...jk->...ik", ((7, 3, 4), (1, 4, 5))).steps[0][2]
+    assert (step.shape_a, step.shape_b, step.shape) == ((21, 4), (4, 5), (7, 3, 5))
+    batched = frame._plan("...ij,...jk->...ik", ((7, 3, 4), (7, 4, 5))).steps[0][2]
+    assert batched.shape_a == (7, 3, 4)
+
+
 @pytest.mark.parametrize("spec", ["...i,...j,...k->...ijk", "...i,...jk,...l,...m->...mijlk"])
 def test_outer_products_of_many_operands(spec):
     # np.einsum_path leaves these to einsum as one step; contract pairs them

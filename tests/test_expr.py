@@ -134,14 +134,27 @@ def distinct_nodes(e) -> list:
     return list(seen.values())
 
 
+@pytest.mark.parametrize("depth,nodes", [(25, 513), (49, 1017), (100, 2088)])
+def test_derivative_trees_stay_linear(depth, nodes):
+    # diff differentiates a shared subtree once per call and hands every
+    # reference the same node; rebuilding it at each reference made the
+    # second derivative quadratic (41,095 distinct nodes at depth 100)
+    d2 = diff(diff(parse(nested_quotient(depth), COORDS), "t"), "t")
+    assert len(distinct_nodes(d2)) == nodes
+    assert abs(eval_expr(d2, {"t": 0.7})) <= 1e-9  # the quotient is t
+
+
 def test_shared_subtrees_are_evaluated_once(monkeypatch):
     # diff shares subtrees (the quotient rule holds the denominator three
-    # times, and Pow(denominator, 2) once); evaluation that walked each
-    # reference would call _real_pow once per reference, and evaluation that
-    # kept the value of every node, not just of the shared ones, would hold
-    # all of them at once (about 160 MB here)
-    d2 = diff(diff(parse(nested_quotient(49), COORDS), "t"), "t")
-    pows = [n for n in distinct_nodes(d2) if isinstance(n, Pow)]
+    # times, and a memoised derivative is one node for every reference);
+    # evaluation that walked each reference would call _real_pow once per
+    # reference, and evaluation that kept the value of every node, not just
+    # of the shared ones, would end up holding all of them at once
+    d2 = diff(diff(parse(nested_quotient(ex.MAX_DEPTH), COORDS), "t"), "t")
+    nodes = distinct_nodes(d2)
+    pows = [n for n in nodes if isinstance(n, Pow)]
+    refs = [k for n in nodes for k in vars(n).values() if isinstance(k, Pow)]
+    assert len(refs) > 1.5 * len(pows) > 400  # the tree holds Pow nodes more than once
     calls, alive = [], [0, 0]  # weakrefs to the values made; alive now, most alive
     real_pow = ex._real_pow
 
@@ -157,8 +170,8 @@ def test_shared_subtrees_are_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(ex, "_real_pow", counted)
     v = eval_expr(d2, {"t": np.linspace(0.5, 2.0, 2000)})
-    assert len(calls) == len(pows) > 1000
-    assert alive[1] < len(pows) // 10
+    assert len(calls) == len(pows)
+    assert alive[1] < len(pows)
     assert v.shape == (2000,) and np.max(np.abs(v)) <= 1e-9
 
 

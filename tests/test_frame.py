@@ -105,6 +105,41 @@ def test_metric_inverse_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# tables that are the same at every point
+
+
+def test_a_table_of_numbers_has_a_length_1_point_axis():
+    env = {c: np.linspace(-1.0, 1.0, 5) for c in COORDS3}
+    const = ExprTable([[1, 0, "2.5"], [0, "-3", 0], [0, 0, 1]], COORDS3, second=True)
+    jet = const.jet2(env)
+    assert const.constant
+    assert jet.val.shape == (1, 3, 3) and jet.grad.shape == (1, 3, 3, 3)
+    assert jet.grad2.shape == (1, 3, 3, 3, 3)
+    assert jet.val[0].tolist() == [[1, 0, 2.5], [0, -3, 0], [0, 0, 1]]
+    assert not jet.grad.any() and not jet.grad2.any()
+    # constancy is read from the expressions, never from equal values:
+    # t - t is 0 at every point, yet it is not a number
+    for cells in ([[1, 0], ["x", 0]], [[1, 0], ["t - t", 0]]):
+        table = ExprTable(cells, COORDS3)
+        assert not table.constant
+        assert table.jet2(env).val.shape == (5, 2, 2)
+
+
+def test_a_context_keeps_constant_tables_with_a_length_1_point_axis():
+    ctx = WARPED.contexts(sample_points(3, [(-1, 1)] * 3, 4, seed=2))
+    assert ctx.g.val.shape == ctx.ginv.val.shape == ctx.onb.shape == (1, 3, 3)
+    assert ctx.g.grad.shape == (1, 3, 3, 3)
+    assert ctx.F.val.shape == ctx.Finv.val.shape == (4, 3, 3)
+    assert ctx.c.val.shape == (4, 3, 3, 3)
+    # every frame derivative is a (P, ...) table, so a sum built into it
+    # takes terms of either kind
+    assert ctx.Eg.val.shape == (4, 3, 3, 3) and ctx.E(ctx.g).shape == (4, 3, 3, 3)
+    flat = Manifold(COORDS3, np.eye(3), np.eye(3)).contexts(ctx.x)
+    assert flat.F.val.shape == flat.FT.shape == (1, 3, 3)
+    assert flat.c.val.shape == (4, 3, 3, 3) and not flat.c.val.any()
+
+
+# ---------------------------------------------------------------------------
 # frame derivatives and exterior calculus
 
 
